@@ -167,10 +167,11 @@ class AtomSum:
     :meth:`zero`.  The empty sum is the zero function.  `tracked_norm` is the
     l1 mass sum(|a_i|) of the stored representation, an upper bound for the
     underlying function's atomic norm, never a claimed infimum.
-    `support_radius` is the largest Euclidean frequency norm.
+    `support_radius` is the largest Euclidean frequency norm and
+    `support_radius_sq` its square, exact for integer frequencies.
     """
 
-    __slots__ = ("_d", "_torus", "_amps", "_freqs", "_phases", "_tracked", "_radius")
+    __slots__ = ("_d", "_torus", "_amps", "_freqs", "_phases", "_tracked", "_radius_sq", "_radius")
 
     def __init__(self, dimension: int, torus_mode: bool, amps, freqs, phases):
         d = int(dimension)
@@ -188,10 +189,8 @@ class AtomSum:
         self._freqs = w
         self._phases = b
         self._tracked = math.fsum(np.abs(a)) if a.size else 0.0
-        if a.size:
-            self._radius = float(np.sqrt(np.max(np.einsum("ij,ij->i", w, w))))
-        else:
-            self._radius = 0.0
+        self._radius_sq = float(np.max(np.einsum("ij,ij->i", w, w))) if a.size else 0.0
+        self._radius = math.sqrt(self._radius_sq)
 
     @classmethod
     def _trusted(cls, d: int, torus: bool, amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray) -> "AtomSum":
@@ -256,6 +255,10 @@ class AtomSum:
     @property
     def support_radius(self) -> float:
         return self._radius
+
+    @property
+    def support_radius_sq(self) -> float:
+        return self._radius_sq
 
     @property
     def amplitudes(self) -> np.ndarray:

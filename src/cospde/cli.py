@@ -24,13 +24,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .atoms import to_text
 from .oracle import ProbeFailureError
 from .problem import diagonal_cosine_family
 from .problemfile import ParseError, build_problem, parse_problem_file
-from .sampler import rate_study
+from .sampler import ols_fit, rate_study
 from .solver import LedgerViolationError, solve
 from .validate import run_validation
 
@@ -84,15 +82,6 @@ def _workers():
     except ValueError:
         raise ParseError(0, f"COSPDE_WORKERS must be an integer, got {raw!r}")
     return max(1, value)
-
-
-def _ols_slope(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0.0:
-        return None
-    return float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
 
 
 def _solve_problem(args, data):
@@ -212,8 +201,8 @@ def cmd_scaling_report(args, out):
     trailer = []
     if len(dims) >= 2:
         ln_d = [math.log(r[0]) for r in rows]
-        fitted = _ols_slope(ln_d, [math.log(r[2]) for r in rows])
-        predictor = _ols_slope(ln_d, [math.log(r[3]) for r in rows])
+        fitted, _ = ols_fit(ln_d, [math.log(r[2]) for r in rows])
+        predictor, _ = ols_fit(ln_d, [math.log(r[3]) for r in rows])
         trailer = [("fitted_exponent", fitted), ("predictor_exponent", predictor)]
     _write_csv(
         out / "scaling.csv",

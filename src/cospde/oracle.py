@@ -7,7 +7,6 @@ Poisson kernel, and a sampling probe that validates the user's
 ellipticity bounds.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -19,8 +18,9 @@ from .calculus import apply_elliptic, precondition
 
 TWO_PI = 2.0 * math.pi
 
-# beyond this many unknowns the direct factorization is swapped for CG
-DIRECT_SOLVE_LIMIT = 200_000
+# relative residual at which the Galerkin CG solve stops; far below every
+# H1 tolerance the reference is compared against
+CG_RTOL = 1e-13
 
 GRID_DIMENSION_CAP = 3
 
@@ -40,20 +40,42 @@ def _max_abs_frequency(s):
 # cos/sin at quarter turns, kept exact: differentiation lands phases on
 # these floats bitwise and the parity structure of even problems relies
 # on the corresponding coefficients vanishing identically
-_QUARTER_PHASES = {
-    0.0: (1.0, 0.0),
-    0.5 * math.pi: (0.0, 1.0),
-    math.pi: (-1.0, 0.0),
-    1.5 * math.pi: (0.0, -1.0),
-}
+_QUARTER_PHASES = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
+_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0])
 
 
-def _atom_cos_sin(amplitude, phase):
-    # a cos(w.x + b) = (a cos b) cos(w.x) + (-a sin b) sin(w.x)
-    quarter = _QUARTER_PHASES.get(phase)
-    if quarter is not None:
-        return amplitude * quarter[0], -amplitude * quarter[1]
-    return amplitude * math.cos(phase), -amplitude * math.sin(phase)
+def _cos_sin(amplitudes, phases):
+    """a cos(w.x + b) = (a cos b) cos(w.x) + (-a sin b) sin(w.x), per atom."""
+    cos_b = np.cos(phases)
+    sin_b = np.sin(phases)
+    slot = np.minimum(np.searchsorted(_QUARTER_PHASES, phases), 3)
+    exact = _QUARTER_PHASES[slot] == phases
+    cos_b[exact] = _QUARTER_COS[slot[exact]]
+    sin_b[exact] = _QUARTER_SIN[slot[exact]]
+    return amplitudes * cos_b, -amplitudes * sin_b
+
+
+def _integer_frequencies(s):
+    return np.rint(s.frequencies).astype(np.int64)
+
+
+def _group_rows(keys):
+    """Distinct rows of an integer array in lexicographic order, and the
+    position of each input row among them."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _h1_squares(keys, cos_sin):
+    """Per-frequency squared H1 contributions mu_k (C^2 + S^2) (1 + |k|^2)."""
+    ksq = np.einsum("ij,ij->i", keys, keys).astype(np.float64)
+    weight = np.where(ksq == 0.0, 1.0, 0.5)
+    return weight * (cos_sin[:, 0] ** 2 + cos_sin[:, 1] ** 2) * (1.0 + ksq)
 
 
 class SpectralField:
@@ -61,10 +83,11 @@ class SpectralField:
 
     Frequencies are integer vectors in canonical form (first nonzero
     component positive); `truncation` caps the max-norm of every stored
-    frequency.  `residual` is attached by galerkin_solve.
+    frequency.  `keys` and `coeffs` hold the entries of `table` as arrays,
+    built once at construction.  `residual` is attached by galerkin_solve.
     """
 
-    __slots__ = ("dimension", "truncation", "table", "residual")
+    __slots__ = ("dimension", "truncation", "table", "keys", "coeffs", "residual")
 
     def __init__(self, dimension, truncation, table, residual=None):
         self.dimension = int(dimension)
@@ -74,58 +97,30 @@ class SpectralField:
         for key in self.table:
             if len(key) != self.dimension:
                 raise ValueError(f"frequency {key} has wrong dimension")
-            if key and max(abs(v) for v in key) > self.truncation:
-                raise ValueError(f"frequency {key} outside truncation {truncation}")
+        self.keys = np.array(list(self.table), dtype=np.int64).reshape(-1, self.dimension)
+        self.coeffs = np.array(list(self.table.values()), dtype=np.float64).reshape(-1, 2)
+        if self.keys.size and np.max(np.abs(self.keys)) > self.truncation:
+            worst = tuple(self.keys[np.argmax(np.max(np.abs(self.keys), axis=1))].tolist())
+            raise ValueError(f"frequency {worst} outside truncation {truncation}")
 
     @classmethod
     def from_atom_sum(cls, s, truncation):
         if not s.torus_mode:
             raise ValueError("spectral fields need torus mode")
-        truncation = int(truncation)
-        table = {}
-        for atom in s.atoms:
-            key = tuple(int(round(v)) for v in atom.frequency)
-            if key and max(abs(v) for v in key) > truncation:
-                raise ValueError(
-                    f"frequency {key} outside truncation {truncation}"
-                )
-            cv, sv = _atom_cos_sin(atom.amplitude, atom.phase)
-            old = table.get(key, (0.0, 0.0))
-            table[key] = (old[0] + cv, old[1] + sv)
+        keys = _integer_frequencies(s)
+        cv, sv = _cos_sin(s.amplitudes, s.phases)
+        table = zip(map(tuple, keys.tolist()), zip(cv.tolist(), sv.tolist()))
         return cls(s.dimension, truncation, table)
 
     def to_atom_sum(self):
-        atoms = []
-        for key in sorted(self.table):
-            cv, sv = self.table[key]
-            freq = tuple(float(v) for v in key)
-            if not any(key):
-                atoms.append((cv, freq, 0.0))
-                continue
-            amp = math.hypot(cv, sv)
-            if amp == 0.0:
-                continue
-            phase = math.atan2(-sv, cv) % TWO_PI
-            atoms.append((amp, freq, phase))
-        return AtomSum.from_atoms(atoms, dimension=self.dimension, torus_mode=True)
+        cv, sv = self.coeffs[:, 0], self.coeffs[:, 1]
+        constant = ~np.any(self.keys != 0, axis=1)
+        amps = np.where(constant, cv, np.hypot(cv, sv))
+        phases = np.where(constant, 0.0, np.mod(np.arctan2(-sv, cv), TWO_PI))
+        return AtomSum(self.dimension, True, amps, self.keys.astype(np.float64), phases)
 
     def h1_norm(self):
-        terms = []
-        for key, (cv, sv) in self.table.items():
-            weight = 1.0 if not any(key) else 0.5
-            ksq = float(sum(v * v for v in key))
-            terms.append(weight * (cv * cv + sv * sv) * (1.0 + ksq))
-        return math.sqrt(math.fsum(terms))
-
-
-def _half_space_frequencies(dimension, truncation):
-    out = []
-    for key in itertools.product(range(-truncation, truncation + 1), repeat=dimension):
-        nonzero = next((v for v in key if v != 0), 0)
-        if nonzero >= 0:
-            out.append(key)
-    out.sort()
-    return out
+        return math.sqrt(math.fsum(_h1_squares(self.keys, self.coeffs)))
 
 
 def default_truncation(p, steps):
@@ -133,35 +128,83 @@ def default_truncation(p, steps):
     return int(math.ceil(p.R_f + steps * max(p.R_A, p.R_c))) + 2
 
 
-def _coefficient_rows(s, index, truncation):
-    """Scatter an atom sum into (row, weighted value) test-function pairs."""
-    rows = []
-    vals = []
-    for atom in s.atoms:
-        key = tuple(int(round(v)) for v in atom.frequency)
-        if key and max(abs(v) for v in key) > truncation:
-            continue  # outside the Galerkin span: untested
-        start = index.get(key)
-        if start is None:
-            continue
-        cv, sv = _atom_cos_sin(atom.amplitude, atom.phase)
-        if any(key):
-            rows.append(start)
-            vals.append(0.5 * cv)
-            rows.append(start + 1)
-            vals.append(0.5 * sv)
-        else:
-            rows.append(start)
-            vals.append(cv)
-    return rows, vals
+def _fourier_coefficients(s):
+    """Complex coefficients g(m) of s = sum_m g(m) e^{i m.x}, as (m, g(m)) terms.
+
+    a cos(w.x + b) = (a/2) e^{ib} e^{i w.x} + (a/2) e^{-ib} e^{-i w.x}; both
+    halves of a constant atom land on m = 0 and add back to a.  Terms are
+    not merged: the sum at equal m is left to the caller's scatter.
+    """
+    keys = _integer_frequencies(s)
+    cv, sv = _cos_sin(0.5 * s.amplitudes, s.phases)
+    half = cv - 1j * sv
+    return np.concatenate([keys, -keys]), np.concatenate([half, np.conj(half)])
+
+
+def galerkin_system(p, truncation):
+    """The weak form on the box |k|_inf <= K in the basis e^{i k.x}.
+
+    Returns (frequencies, matrix, rhs): the box frequencies in lexicographic
+    order, the Hermitian matrix M[k', k] = k'^T A(k' - k) k + c(k' - k) built
+    from the coefficients' exact Fourier coefficients, and the coefficients
+    f(k) of the right-hand side.  Row k' and column k pair through the shift
+    m = k' - k, so each distinct coefficient frequency is scattered against
+    every basis index at once.
+    """
+    d = p.dimension
+    side = 2 * truncation + 1
+    n = side**d
+    freqs = np.indices((side,) * d).reshape(d, n).T - truncation
+    strides = side ** np.arange(d - 1, -1, -1)
+
+    # per shift m: c(m) in slot 0, A_ij(m) for i <= j in the slots after it
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    shifts, coeffs, slots = [], [], []
+    for slot, s in enumerate([p.c] + [p.a_entries[i][j] for i, j in pairs]):
+        if not s.is_zero:
+            m, g = _fourier_coefficients(s)
+            shifts.append(m)
+            coeffs.append(g)
+            slots.append(np.full(len(g), slot))
+    rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    vals = [np.zeros(0, np.complex128)]
+    if shifts:
+        unique, inverse = _group_rows(np.concatenate(shifts))
+        table = np.zeros((len(unique), 1 + len(pairs)), dtype=np.complex128)
+        np.add.at(table, (inverse, np.concatenate(slots)), np.concatenate(coeffs))
+        for m, entry in zip(unique, table):
+            inside = np.all(np.abs(freqs + m) <= truncation, axis=1)
+            k = freqs[inside]
+            kp = k + m
+            val = np.full(len(k), entry[0])
+            for slot, (i, j) in enumerate(pairs, start=1):
+                if entry[slot] != 0.0:
+                    # symmetric in (k', k) so that M is exactly Hermitian
+                    w = kp[:, i] * k[:, i] if i == j else kp[:, i] * k[:, j] + kp[:, j] * k[:, i]
+                    val = val + entry[slot] * w
+            col = np.flatnonzero(inside)
+            rows.append(col + int(m @ strides))
+            cols.append(col)
+            vals.append(val)
+    matrix = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+    rhs = np.zeros(n, dtype=np.complex128)
+    if not p.f.is_zero:
+        m, g = _fourier_coefficients(p.f)
+        np.add.at(rhs, (m + truncation) @ strides, g)
+    return freqs, matrix, rhs
 
 
 def galerkin_solve(p, truncation):
     """Reference solution of the weak form over frequencies |k|_inf <= K.
 
-    The system is assembled exactly from the atom algebra (products and
-    derivatives carry no quadrature error); only the linear solve is
-    numeric.  Returns the truncated field with its L2 residual attached.
+    The system is assembled exactly from the Fourier coefficients of the
+    atom data and solved by conjugate gradients preconditioned with the
+    diagonal 1/(1 + |k|^2).  The returned field carries the L2 residual of
+    the truncated equation computed through the atom algebra
+    (apply_elliptic), which checks the Fourier assembly independently.
     """
     if not p.torus_mode:
         raise ValueError("Galerkin reference needs torus mode")
@@ -173,57 +216,32 @@ def galerkin_solve(p, truncation):
             f"truncation {truncation} too small: f has frequencies outside the span"
         )
 
-    d = p.dimension
-    freqs = _half_space_frequencies(d, truncation)
-    index = {}
-    n = 0
-    for key in freqs:
-        index[key] = n
-        n += 2 if any(key) else 1
-
-    rows = []
-    cols = []
-    vals = []
-    for key in freqs:
-        start = index[key]
-        parts = (0.0,) if not any(key) else (0.0, 1.5 * math.pi)
-        for offset, phase in enumerate(parts):
-            basis = AtomSum.from_atoms(
-                [(1.0, tuple(float(v) for v in key), phase)],
-                dimension=d,
-                torus_mode=True,
-            )
-            image = apply_elliptic(p.a_entries, p.c, basis)
-            r, v = _coefficient_rows(image, index, truncation)
-            rows.extend(r)
-            cols.extend([start + offset] * len(r))
-            vals.extend(v)
-
-    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    matrix = (matrix + matrix.T) * 0.5
-
-    rhs = np.zeros(n)
-    r, v = _coefficient_rows(p.f, index, truncation)
-    rhs[r] = v
-
-    if n <= DIRECT_SOLVE_LIMIT:
-        solution = scipy.sparse.linalg.spsolve(matrix.tocsc(), rhs)
-    else:
-        solution, info = scipy.sparse.linalg.cg(matrix, rhs, rtol=1e-12, atol=0.0)
-        if info != 0:
-            raise RuntimeError(f"CG failed to converge (info={info})")
+    freqs, matrix, rhs = galerkin_system(p, truncation)
+    ksq = np.einsum("ij,ij->i", freqs, freqs)
+    inverse_laplacian = scipy.sparse.diags(1.0 / (1.0 + ksq))
+    solution, info = scipy.sparse.linalg.cg(
+        matrix, rhs, rtol=CG_RTOL, atol=0.0, M=inverse_laplacian
+    )
+    if info != 0:
+        raise RuntimeError(f"CG failed to converge (info={info})")
     if not np.all(np.isfinite(solution)):
         raise RuntimeError("singular Galerkin system despite verified ellipticity")
 
-    table = {}
-    for key in freqs:
-        start = index[key]
-        if any(key):
-            table[key] = (float(solution[start]), float(solution[start + 1]))
-        else:
-            table[key] = (float(solution[start]), 0.0)
+    # u = sum_k u(k) e^{ik.x} is real: pair k with -k, which sits at the
+    # mirrored box index, and keep the half-space representative
+    mirrored = solution[::-1]
+    cos_part = (solution + mirrored).real
+    sin_part = (mirrored - solution).imag
+    centre = len(solution) // 2
+    cos_part[centre] = solution[centre].real
+    sin_part[centre] = 0.0
+    nonzero = freqs != 0
+    leading = freqs[np.arange(len(freqs)), np.argmax(nonzero, axis=1)]
+    half = leading >= 0
+    table = zip(map(tuple, freqs[half].tolist()),
+                zip(cos_part[half].tolist(), sin_part[half].tolist()))
 
-    field = SpectralField(d, truncation, table)
+    field = SpectralField(p.dimension, truncation, table)
     field.residual = _truncated_l2_residual(p, field)
     return field
 
@@ -231,14 +249,11 @@ def galerkin_solve(p, truncation):
 def _truncated_l2_residual(p, field):
     image = apply_elliptic(p.a_entries, p.c, field.to_atom_sum())
     diff = add(image, scale(p.f, -1.0))
-    terms = []
-    for atom in diff.atoms:
-        key = tuple(int(round(v)) for v in atom.frequency)
-        if key and max(abs(v) for v in key) > field.truncation:
-            continue
-        a = atom.amplitude
-        terms.append(a * a if not any(key) else 0.5 * a * a)
-    return math.sqrt(math.fsum(terms))
+    keys = _integer_frequencies(diff)
+    inside = np.max(np.abs(keys), axis=1, initial=0) <= field.truncation
+    a = diff.amplitudes[inside]
+    weight = np.where(np.any(keys[inside] != 0, axis=1), 0.5, 1.0)
+    return math.sqrt(math.fsum(weight * a * a))
 
 
 def h1_distance(u, ref):
@@ -251,20 +266,16 @@ def h1_distance(u, ref):
         raise ValueError("H1 distance needs torus mode")
     if u.dimension != ref.dimension:
         raise ValueError("dimension mismatch")
-    coeffs = {key: list(val) for key, val in ref.table.items()}
-    for atom in u.atoms:
-        key = tuple(int(round(v)) for v in atom.frequency)
-        cv, sv = _atom_cos_sin(atom.amplitude, atom.phase)
-        entry = coeffs.setdefault(key, [0.0, 0.0])
-        entry[0] = cv - entry[0]
-        entry[1] = sv - entry[1]
-    terms = []
-    for key, entry in coeffs.items():
-        cv, sv = entry[0], entry[1]
-        weight = 1.0 if not any(key) else 0.5
-        ksq = float(sum(v * v for v in key))
-        terms.append(weight * (cv * cv + sv * sv) * (1.0 + ksq))
-    return math.sqrt(math.fsum(terms))
+    keys = np.concatenate([ref.keys, _integer_frequencies(u)])
+    unique, inverse = _group_rows(keys)
+    # both key sets are canonical, so each holds a frequency at most once
+    diff = np.zeros((len(unique), 2))
+    diff[inverse[: len(ref.keys)]] = -ref.coeffs
+    cv, sv = _cos_sin(u.amplitudes, u.phases)
+    at_u = inverse[len(ref.keys):]
+    diff[at_u, 0] += cv
+    diff[at_u, 1] += sv
+    return math.sqrt(math.fsum(_h1_squares(unique, diff)))
 
 
 def _dense_grid(dimension, points_per_axis):

@@ -93,6 +93,7 @@ class EllipticProblem:
         self.R_f = f.support_radius
         # one application of the operator can shift a frequency by at most this
         self.coeff_radius = max(self.R_A, self.R_c, self.R_f)
+        self.coeff_radius_sq = max(s.support_radius_sq for s in flat + [c, f])
 
     def initial_error_bound(self):
         """H1 distance from u0=0 to the solution: at most |f|_{H^-1} / lam_min."""

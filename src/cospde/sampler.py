@@ -9,6 +9,7 @@ k^{-1/2} rate study free of quadrature noise.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,6 +108,30 @@ class RateStudyResult:
         return self.slope is None
 
 
+def ols_fit(x, y):
+    """Least-squares slope of y against x and its standard error.
+
+    The slope is None when x has no spread; the standard error is None
+    without a residual degree of freedom (fewer than three points).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    if sxx == 0.0:
+        return None, None
+    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+    if len(x) <= 2:
+        return slope, None
+    intercept = float(y.mean() - slope * x.mean())
+    rss = float(np.sum((y - slope * x - intercept) ** 2))
+    return slope, math.sqrt(rss / (len(x) - 2) / sxx)
+
+
+def worker_count(requested, tasks):
+    """Processes to start: never more than the tasks or the CPUs."""
+    return max(1, min(int(requested), int(tasks), os.cpu_count() or 1))
+
+
 def _width_errors(g_text, k, trials, seed):
     g = from_text(g_text)
     return [h1_error_exact(sample_network(g, k, seed + trial), g)
@@ -133,10 +158,11 @@ def rate_study(g, widths, trials, seed, workers=1):
         raise ValueError("need at least 30 trials per width")
 
     g_text = to_text(g)
+    workers = worker_count(workers, len(widths))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_width = list(
                 pool.map(
                     _width_errors,
@@ -160,14 +186,7 @@ def rate_study(g, widths, trials, seed, workers=1):
     fit_points = [(math.log(k), math.log(rms)) for k, rms, _, _ in summary if rms > 0.0]
     slope = stderr = None
     if len(fit_points) >= 2:
-        x = np.array([p[0] for p in fit_points])
-        y = np.array([p[1] for p in fit_points])
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-        if len(fit_points) > 2:
-            intercept = float(y.mean() - slope * x.mean())
-            rss = float(np.sum((y - slope * x - intercept) ** 2))
-            stderr = math.sqrt(rss / (len(fit_points) - 2) / sxx)
+        slope, stderr = ols_fit([p[0] for p in fit_points], [p[1] for p in fit_points])
 
     return RateStudyResult(
         rows=rows,

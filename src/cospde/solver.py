@@ -8,6 +8,7 @@ accumulated H1 cost is accounted against the target accuracy.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -123,6 +124,21 @@ def initial_state(p, u0=None):
                           y_bound=tracked)
 
 
+def _radius_within(radius_sq, start_sq, shift_sq, steps):
+    """Exact test of sqrt(radius_sq) <= sqrt(start_sq) + steps * sqrt(shift_sq).
+
+    The squared norms are exact (integers on the torus), so the test runs in
+    rational arithmetic instead of comparing rounded square roots, which
+    misorders collinear frequencies (sqrt(75) rounds above sqrt(48) +
+    sqrt(3)).  With gap = radius_sq - start_sq - steps^2 shift_sq the
+    inequality holds iff gap <= 0 or gap^2 <= 4 start_sq steps^2 shift_sq.
+    """
+    a, b = Fraction(radius_sq), Fraction(start_sq)
+    c = Fraction(shift_sq) * steps * steps
+    gap = a - b - c
+    return gap <= 0 or gap * gap <= 4 * b * c
+
+
 def _budget_threshold(s, budget):
     """Amplitude cutoff dropping the largest prefix of small atoms whose
     H1 mass stays within budget.  Returns 0.0 when nothing fits."""
@@ -178,11 +194,10 @@ def step(p, state, alpha, prune_threshold=0.0, prune_mass_budget=None):
         u_next, dropped = prune(u_next, threshold)
         state.eps_budget_used += dropped * math.sqrt(1.0 + pre_radius**2)
 
-    radius_bound = u.support_radius + p.coeff_radius
-    if u_next.support_radius > radius_bound:
+    if not _radius_within(u_next.support_radius_sq, u.support_radius_sq, p.coeff_radius_sq, 1):
         raise LedgerViolationError(
             f"step {state.t}: support radius {u_next.support_radius!r} exceeds "
-            f"{radius_bound!r}"
+            f"{u.support_radius!r} + {p.coeff_radius!r}"
         )
     y_next = growth_factor(p, alpha) * state.y_bound + alpha * p.ell_f
     if u_next.tracked_norm > y_next:
@@ -280,6 +295,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None, early_exit=False,
     predicted_norm = y
     # from u0 = 0 this reduces to coeff_radius * steps exactly
     predicted_radius = state.u.support_radius + p.coeff_radius * steps
+    start_radius_sq = state.u.support_radius_sq
     if reference is not None:
         state.ledger[0].h1_error = h1_distance(state.u, reference)
 
@@ -308,7 +324,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None, early_exit=False,
             f"final tracked norm {final.tracked_norm!r} exceeds prediction "
             f"{predicted_norm!r}"
         )
-    if final.support_radius > predicted_radius:
+    if not _radius_within(state.u.support_radius_sq, start_radius_sq, p.coeff_radius_sq, steps):
         raise LedgerViolationError(
             f"final support radius {final.support_radius!r} exceeds prediction "
             f"{predicted_radius!r}"

@@ -13,10 +13,12 @@ from cospde.oracle import (
     ellipticity_probe,
     fft_precondition_check,
     galerkin_solve,
+    galerkin_system,
     green1d_check,
     h1_distance,
 )
 from cospde.problem import EllipticProblem, constant_sum, diagonal_cosine_family
+from cospde.solver import solve
 from conftest import d1_benchmark, d2_benchmark, identity_problem, random_sum
 
 
@@ -87,6 +89,47 @@ class TestGalerkinSolve:
         p5 = EllipticProblem(p.a_entries, p.c, f5, 1.0, 1.0)
         with pytest.raises(ValueError, match="too small"):
             galerkin_solve(p5, truncation=3)
+
+    def test_constant_coefficients_match_closed_form(self):
+        # with constant A and c each mode decouples: u(k) = f(k) / (k^T A k + c)
+        a = ((constant_sum(2, 2.0), constant_sum(2, 0.5)),
+             (constant_sum(2, 0.5), constant_sum(2, 1.0)))
+        f = random_sum(np.random.default_rng(130), 2, 12, max_freq=3)
+        p = EllipticProblem(a, constant_sum(2, 1.5), f, 0.5, 2.5)
+        ref = galerkin_solve(p, truncation=4)
+        expected = SpectralField.from_atom_sum(f, truncation=4).table
+        for key, (cv, sv) in ref.table.items():
+            k = np.array(key, dtype=float)
+            symbol = 2.0 * k[0] ** 2 + 2 * 0.5 * k[0] * k[1] + k[1] ** 2 + 1.5
+            fc, fs = expected.get(key, (0.0, 0.0))
+            assert abs(cv - fc / symbol) <= 1e-14
+            assert abs(sv - fs / symbol) <= 1e-14
+
+    def test_assembled_matrix_is_hermitian(self):
+        def atoms(*triples):
+            return AtomSum.from_atoms(triples, dimension=2)
+        a11 = atoms((2.0, (0.0, 0.0), 0.0), (0.3, (1.0, 0.0), 0.7))
+        a12 = atoms((0.2, (1.0, -1.0), 1.1))
+        a22 = atoms((2.0, (0.0, 0.0), 0.0), (0.4, (0.0, 2.0), 0.2))
+        c = atoms((1.0, (0.0, 0.0), 0.0), (0.25, (1.0, 1.0), 0.5))
+        f = atoms((1.0, (1.0, 0.0), 0.3), (0.5, (1.0, 2.0), 2.0))
+        p = EllipticProblem(((a11, a12), (a12, a22)), c, f, 0.5, 3.0)
+        _, matrix, _ = galerkin_system(p, 5)
+        assert abs(matrix - matrix.conj().T).max() == 0.0
+        assert abs(matrix.imag).max() > 0.0
+        # the atom-algebra residual checks the assembly of these phases
+        assert galerkin_solve(p, 5).residual <= 1e-12
+
+    def test_d4_reference_agrees_with_iteration(self):
+        # the diagonal family with c coupling all four axes
+        family = diagonal_cosine_family(4)
+        c = AtomSum.from_atoms([(1.0, (0.0,) * 4, 0.0), (0.25, (1.0,) * 4, 0.0)])
+        p = EllipticProblem(family.a_entries, c, family.f, 0.5, 1.5)
+        ref = galerkin_solve(p, truncation=5)  # 11^4 = 14641 unknowns
+        assert ref.residual <= 1e-12
+        assert max(abs(sv) for _, sv in ref.table.values()) <= 1e-12
+        result = solve(p, 1e-2, prune_enabled=False, compare_oracle=False)
+        assert h1_distance(result.u, ref) <= 1e-2
 
     def test_default_truncation_covers_iterates(self):
         p = d2_benchmark()

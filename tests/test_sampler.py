@@ -1,6 +1,8 @@
 """Sampled two-layer networks: unbiasedness, exact errors, the rate study."""
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ import pytest
 from cospde.atoms import AtomSum, evaluate
 from cospde.sampler import (
     h1_error_exact,
+    ols_fit,
     rate_study,
     rms_error_bound,
     sample_network,
+    worker_count,
 )
 from conftest import random_sum
 
@@ -141,6 +145,43 @@ class TestRateStudy:
         assert a.rows == b.rows and a.summary == b.summary and a.slope == b.slope
         c = rate_study(g, [16, 64], trials=30, seed=9, workers=2)
         assert a.rows == c.rows and a.summary == c.summary and a.slope == c.slope
+
+    def test_worker_count_capped_by_tasks_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert worker_count(10**6, 5) == min(5, cpus)
+        assert worker_count(10**6, 10**6) == cpus
+        assert worker_count(3, 1) == 1
+        assert worker_count(0, 5) == 1
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        # a stand-in pool that records its size and runs in this process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        g = ten_atom_target()
+        capped = rate_study(g, [16, 64], trials=30, seed=9, workers=10**6)
+        expected = min(2, os.cpu_count() or 1)  # two widths
+        assert sizes == ([expected] if expected > 1 else [])
+        serial = rate_study(g, [16, 64], trials=30, seed=9)
+        assert capped.rows == serial.rows
+
+    def test_ols_fit_matches_closed_form(self):
+        assert ols_fit([1.0, 2.0, 3.0], [1.0, 3.0, 5.0]) == (2.0, 0.0)
+        assert ols_fit([0.0, 1.0], [1.0, 4.0]) == (3.0, None)
+        assert ols_fit([2.0, 2.0], [1.0, 4.0]) == (None, None)
 
     def test_validation(self):
         g = ten_atom_target()

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import cospde.solver as solver_module
 from cospde.atoms import AtomSum, add, h1_norm_torus, scale
 from cospde.oracle import galerkin_solve, h1_distance
-from cospde.problem import EllipticProblem, constant_sum
+from cospde.problem import EllipticProblem, constant_sum, diagonal_coefficients
 from cospde.solver import (
     IterationState,
     LedgerViolationError,
     _budget_threshold,
+    _radius_within,
     cosine_ledger_bound,
     growth_factor,
     initial_state,
@@ -31,6 +33,15 @@ def all_ones_problem():
     one = constant_sum(1, 1.0)
     f = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
     return EllipticProblem(((a,),), one, f, 1.0, 1.0)
+
+
+def collinear_problem():
+    # A = 2I, c = 2 + cos(x1 + x2 + x3)/4, f = cos(x1 + x2 + x3): iterates
+    # grow along (1, 1, 1), where sqrt(75) rounds above sqrt(48) + sqrt(3)
+    d = 3
+    c = AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0), (0.25, (1.0,) * d, 0.0)])
+    f = AtomSum.from_atoms([(1.0, (1.0,) * d, 0.0)])
+    return EllipticProblem(diagonal_coefficients([constant_sum(d, 2.0)] * d), c, f, 1.75, 2.25)
 
 
 class TestOptimalStep:
@@ -172,11 +183,35 @@ class TestStep:
         for before, after in zip(errors, errors[1:]):
             assert after <= (factor + 1e-9) * before
 
+    def test_radius_check_catches_one_lattice_step_beyond(self, monkeypatch):
+        p = collinear_problem()
+        alpha, _ = optimal_step(p.lam_min, p.lam_max)
+        state = initial_state(p)
+        for _ in range(4):
+            step(p, state, alpha)
+        assert state.u.support_radius_sq == 48.0  # reaches 4 * (1, 1, 1)
+        # the next step may reach |5 * (1, 1, 1)|^2 = 75; (6, 6, 2) has 76
+        stray = AtomSum.from_atoms([(1e-12, (6.0, 6.0, 2.0), 0.0)])
+        real = solver_module.precondition
+        monkeypatch.setattr(solver_module, "precondition", lambda s: add(real(s), stray))
+        with pytest.raises(LedgerViolationError, match="support radius"):
+            step(p, state, alpha)
+
     def test_dimension_mismatch_rejected(self):
         p = d1_benchmark()
         state = initial_state(identity_problem(2))
         with pytest.raises(ValueError):
             step(p, state, 0.5)
+
+
+class TestRadiusWithin:
+    def test_exact_on_collinear_lattice_points(self):
+        assert math.sqrt(75) > math.sqrt(48) + math.sqrt(3)  # the float test errs
+        assert _radius_within(75.0, 48.0, 3.0, 1)
+        assert not _radius_within(76.0, 48.0, 3.0, 1)
+        assert _radius_within(27.0 * 25, 0.0, 27.0, 5)
+        assert not _radius_within(27.0 * 25 + 1, 0.0, 27.0, 5)
+        assert _radius_within(0.0, 0.0, 0.0, 3)
 
 
 class TestBudgetThreshold:
@@ -241,6 +276,13 @@ class TestSolve:
         final = result.state.ledger[-1]
         assert final.tracked_norm <= result.predicted_norm
         assert final.support_radius <= result.predicted_radius
+
+    def test_collinear_frequencies_pass_the_radius_ledger(self):
+        p = collinear_problem()
+        result = solve(p, 1e-8, prune_enabled=False)
+        assert result.steps_planned >= 5
+        assert result.final_h1_error <= 1e-8
+        assert result.state.u.support_radius_sq == 3.0 * result.steps_planned**2
 
     def test_predictor_agrees_with_solve_plan(self):
         p = d1_benchmark()
