@@ -12,6 +12,21 @@ norm accounting, and merging are deterministic:
 * no two atoms share a frequency (same-frequency atoms are merged), atoms are
   ordered lexicographically by frequency, and zero amplitudes are dropped.
 
+Merging is one vectorised pass over all terms (`_merge`), with no Python loop
+over frequencies.  Within one frequency:
+
+* phases that agree within PHASE_TOL form a cluster whose amplitudes add
+  directly, and phases a half-turn apart subtract, so b and b + pi cancel to
+  an exact zero; clusters near 0 and near 2*pi are the same cluster;
+* a cluster keeps the phase of its member with the smallest phase;
+* when several clusters with distinct phases remain, they combine into the
+  single atom hypot(C, S) cos(<w, x> + atan2(S, C)), with C = sum a cos b
+  and S = sum a sin b over the clusters.
+
+Terms are sorted on every value they carry before anything is added, so the
+result does not depend on the input order, and a frequency with a single term
+keeps that term bit for bit, which makes canonicalization idempotent.
+
 In torus mode frequencies are integer vectors and the sum is a trigonometric
 polynomial on [0, 2*pi)^d under the normalized (mean) measure; the Sobolev
 norms below are exact finite formulas in that setting.  Plane mode (real
@@ -45,119 +60,155 @@ class Atom:
     phase: float
 
 
-def _merge_group(amps: np.ndarray, phases: np.ndarray) -> tuple[float, float] | None:
-    """Merge atoms sharing one frequency into a single (amplitude, phase).
+def _reduce_phases(phases: np.ndarray) -> np.ndarray:
+    """Phases reduced into [0, 2*pi); a value that rounds up to 2*pi maps to 0."""
+    reduced = np.mod(phases, TWO_PI)
+    reduced[reduced == TWO_PI] = 0.0
+    return reduced
 
-    Exact paths first: phases equal within PHASE_TOL add amplitudes directly,
-    phases opposite by pi subtract them, so the common cancellations are exact
-    in floating point.  Genuinely different phases combine through the complex
-    coefficient sum(a_j * exp(i b_j)).  Returns None when the group vanishes.
+
+def _frequency_keys(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign of the first nonzero component of each frequency row (0 for a zero
+    row) and an int64 rank of the row times its sign: rows equal up to sign
+    share a key, and keys order the sign-normalized rows lexicographically.
     """
-    order = np.lexsort((amps, phases))
-    amps = amps[order]
-    phases = phases[order]
-    clusters: list[list[float]] = []
-    start = 0
-    n = len(phases)
-    for i in range(1, n + 1):
-        if i == n or phases[i] - phases[i - 1] > PHASE_TOL:
-            clusters.append([float(phases[start]), math.fsum(amps[start:i])])
-            start = i
-    if len(clusters) > 1 and (clusters[0][0] + TWO_PI) - clusters[-1][0] <= PHASE_TOL:
-        clusters[0][1] = clusters[0][1] + clusters[-1][1]
-        clusters.pop()
-    folded: list[tuple[float, float]] = []
-    used = [False] * len(clusters)
-    for i, (p_i, a_i) in enumerate(clusters):
-        if used[i]:
-            continue
-        for j in range(i + 1, len(clusters)):
-            if not used[j] and abs(clusters[j][0] - p_i - math.pi) <= PHASE_TOL:
-                a_i -= clusters[j][1]
-                used[j] = True
-        if a_i != 0.0:
-            folded.append((p_i, a_i))
-    if not folded:
-        return None
-    if len(folded) == 1:
-        p, a = folded[0]
-        return a, p
-    z = 0.0 + 0.0j
-    for p, a in folded:
-        z += a * complex(math.cos(p), math.sin(p))
-    if z == 0:
-        return None
-    return abs(z), math.atan2(z.imag, z.real) % TWO_PI
+    sign = np.sign(freqs[np.arange(len(freqs)), (freqs != 0.0).argmax(axis=1)])
+    normalized = freqs * sign[:, None]
+    order = np.lexsort(normalized.T[::-1])
+    ranked = normalized[order]
+    keys = np.empty(len(order), dtype=np.int64)
+    keys[order[0]] = 0
+    keys[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1).cumsum()
+    return sign, keys
+
+
+def _merge(keys: np.ndarray, amps: np.ndarray, phases: np.ndarray):
+    """Merge atoms that share a frequency key, for phases in [0, 2*pi).
+
+    Returns (rows, amplitudes, phases) of the merged atoms in key order, where
+    `rows` indexes one member of each, which supplies its frequency.  The
+    rules are in the module docstring; the steps are:
+
+    1. fold each phase into [0, pi) (a cos(y + b) equals -a cos(y + b - pi))
+       and sort once by (key, folded phase, side of pi, amplitude);
+    2. cut the sorted terms into frequency groups, each group into phase
+       clusters wherever consecutive folded phases differ by more than
+       PHASE_TOL, and each cluster into runs on one side of pi;
+    3. sum each run, then each cluster's runs with the sign of their side, so
+       equal amplitudes at b and b + pi give equal run sums that cancel
+       exactly; a group's last cluster within PHASE_TOL of its first
+       cluster's phase + pi wraps around the folded circle and joins the
+       first cluster with its sign flipped;
+    4. combine the clusters left in a group through C = sum a cos b and
+       S = sum a sin b into one atom hypot(C, S) at phase atan2(S, C).
+    """
+    n = len(amps)
+    upper = phases >= math.pi
+    folded = phases - math.pi * upper
+    order = np.lexsort((amps, upper, folded, keys))
+    sorted_keys = keys[order]
+    # boundary flags with a sentinel at n, so flag positions are both the
+    # starts of the runs and the ends of the runs before them
+    new_group = np.empty(n + 1, dtype=bool)
+    new_group[0] = new_group[n] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:n])
+    if new_group.all():  # no frequency repeats: nothing to merge
+        order = order[amps[order] != 0.0]  # a constant a*cos(b) can round to 0
+        return order, amps[order], phases[order]
+    sorted_folded = folded[order]
+    sorted_upper = upper[order]
+    new_cluster = new_group.copy()
+    new_cluster[1:n] |= sorted_folded[1:] - sorted_folded[:-1] > PHASE_TOL
+    new_run = new_cluster.copy()
+    new_run[1:n] |= sorted_upper[1:] != sorted_upper[:-1]
+
+    run_bounds = new_run.nonzero()[0]
+    run_first = run_bounds[:-1]
+    run_sum = np.add.reduceat(amps[order], run_first)
+    run_upper = sorted_upper[run_first]
+    run_phase = phases[order[run_first]]
+
+    # A cluster is represented by its member with the smallest phase.  Its
+    # level (how many half-turns separate its phase from the folded phase)
+    # says whether the folded sum carries its sign or the opposite one.
+    cluster_at = new_cluster[run_bounds].nonzero()[0]
+    first = cluster_at[:-1]
+    total = np.add.reduceat(np.where(run_upper, -run_sum, run_sum), first)
+    rep_phase = np.minimum.reduceat(run_phase, first)
+    rep_level = np.minimum.reduceat(run_upper, first).astype(np.int8)
+    cluster_bounds = run_bounds[cluster_at]
+    heads = new_group[cluster_bounds].nonzero()[0]
+    head, tail = heads[:-1], heads[1:] - 1
+    group_first = sorted_folded[cluster_bounds[head]]
+    group_last = sorted_folded[cluster_bounds[tail + 1] - 1]
+    wrap = (tail > head) & (group_first + math.pi - group_last <= PHASE_TOL)
+    if wrap.any():
+        h, t = head[wrap], tail[wrap]
+        from_tail = rep_phase[t] < rep_phase[h]
+        rep_level[h] = np.where(from_tail, rep_level[t] + 1, rep_level[h])
+        rep_phase[h] = np.minimum(rep_phase[h], rep_phase[t])
+        total[h] -= total[t]
+        total[t] = 0.0
+    cluster_amp = np.where(rep_level == 1, -total, total)
+    live = cluster_amp != 0.0
+    if not live.any():
+        return order[:0], total[:0], total[:0]
+    group_of = new_group[cluster_bounds[:-1]].cumsum()[live]
+    cluster_amp, rep_phase = cluster_amp[live], rep_phase[live]
+    cluster_first = cluster_bounds[:-1][live]
+
+    # the clusters left in a group have distinct phases: combine them
+    # through C = sum a cos b, S = sum a sin b
+    m = len(group_of)
+    new_out = np.empty(m + 1, dtype=bool)
+    new_out[0] = new_out[m] = True
+    np.not_equal(group_of[1:], group_of[:-1], out=new_out[1:m])
+    out_bounds = new_out.nonzero()[0]
+    starts = out_bounds[:-1]
+    out_amp = cluster_amp[starts]
+    out_phase = rep_phase[starts]
+    counts = out_bounds[1:] - starts
+    multi = counts > 1
+    if multi.any():
+        member = np.repeat(multi, counts)
+        a, b = cluster_amp[member], rep_phase[member]
+        segments = counts[multi].cumsum() - counts[multi]
+        cos_sum = np.add.reduceat(a * np.cos(b), segments)
+        sin_sum = np.add.reduceat(a * np.sin(b), segments)
+        out_amp[multi] = np.hypot(cos_sum, sin_sum)
+        out_phase[multi] = _reduce_phases(np.arctan2(sin_sum, cos_sum))
+    keep = out_amp != 0.0
+    return order[cluster_first[starts[keep]]], out_amp[keep], out_phase[keep]
 
 
 def _canonicalize_arrays(
     d: int, torus: bool, amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    amps = np.asarray(amps, dtype=np.float64).reshape(-1).copy()
-    freqs = np.asarray(freqs, dtype=np.float64).reshape(-1, d if d else 1).copy()
-    phases = np.asarray(phases, dtype=np.float64).reshape(-1).copy()
+    amps = np.asarray(amps, dtype=np.float64).reshape(-1)
+    freqs = np.asarray(freqs, dtype=np.float64).reshape(-1, d)
+    phases = np.asarray(phases, dtype=np.float64).reshape(-1)
     if freqs.shape[0] != amps.shape[0] or phases.shape[0] != amps.shape[0]:
         raise ValueError("amplitude, frequency, and phase counts disagree")
-    if freqs.shape[1] != d:
-        raise ValueError(f"frequency vectors have length {freqs.shape[1]}, expected {d}")
-    if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(freqs)) and np.all(np.isfinite(phases))):
+    if not (np.isfinite(amps).all() and np.isfinite(freqs).all() and np.isfinite(phases).all()):
         raise ValueError("atom data must be finite")
-    if torus and freqs.size and not np.array_equal(freqs, np.round(freqs)):
+    if torus and not (freqs == np.round(freqs)).all():
         raise ValueError("torus mode requires integer frequencies")
 
     keep = amps != 0.0
     amps, freqs, phases = amps[keep], freqs[keep], phases[keep]
     if amps.size == 0:
-        return amps, freqs.reshape(0, d), phases
+        return amps, freqs, phases
 
-    nonzero = freqs != 0.0
-    has_nz = nonzero.any(axis=1)
-    first_idx = np.argmax(nonzero, axis=1)
-    first_val = freqs[np.arange(len(freqs)), first_idx]
-    flip = has_nz & (first_val < 0.0)
-    freqs[flip] *= -1.0
-    phases[flip] *= -1.0
-    freqs[freqs == 0.0] = 0.0  # normalize -0.0 so row grouping is exact
+    # cosine is even: (w, b) and (-w, -b) are one atom, and a zero-frequency
+    # atom is the constant a cos(b)
+    sign, keys = _frequency_keys(freqs)
+    constant = sign == 0.0
+    if constant.any():
+        amps = np.where(constant, amps * np.cos(phases), amps)
+    phases = _reduce_phases(phases * sign)
 
-    zero_row = ~has_nz
-    if zero_row.any():
-        amps[zero_row] = amps[zero_row] * np.cos(phases[zero_row])
-        phases[zero_row] = 0.0
-        keep = amps != 0.0
-        amps, freqs, phases = amps[keep], freqs[keep], phases[keep]
-        if amps.size == 0:
-            return amps, freqs.reshape(0, d), phases
-
-    phases = np.mod(phases, TWO_PI)
-    phases[phases == TWO_PI] = 0.0
-
-    order = np.lexsort(tuple(freqs[:, k] for k in range(d - 1, -1, -1)))
-    sorted_freqs = freqs[order]
-    change = np.any(sorted_freqs[1:] != sorted_freqs[:-1], axis=1) if len(order) > 1 else np.zeros(0, bool)
-    boundaries = np.concatenate(([0], np.nonzero(change)[0] + 1, [len(order)]))
-    out_amps: list[float] = []
-    out_freqs: list[np.ndarray] = []
-    out_phases: list[float] = []
-    for g in range(len(boundaries) - 1):
-        members = order[boundaries[g] : boundaries[g + 1]]
-        if len(members) == 1:
-            m = members[0]
-            out_amps.append(float(amps[m]))
-            out_phases.append(float(phases[m]))
-        else:
-            merged = _merge_group(amps[members], phases[members])
-            if merged is None:
-                continue
-            out_amps.append(merged[0])
-            out_phases.append(merged[1])
-        out_freqs.append(sorted_freqs[boundaries[g]])
-    if not out_amps:
-        return np.zeros(0), np.zeros((0, d)), np.zeros(0)
-    return (
-        np.asarray(out_amps, dtype=np.float64),
-        np.asarray(out_freqs, dtype=np.float64).reshape(-1, d),
-        np.asarray(out_phases, dtype=np.float64),
-    )
+    rows, amps, phases = _merge(keys, amps, phases)
+    return amps, freqs[rows] * sign[rows, None] + 0.0, phases  # + 0.0 turns -0.0 into 0.0
 
 
 class AtomSum:
@@ -188,7 +239,7 @@ class AtomSum:
         self._amps = a
         self._freqs = w
         self._phases = b
-        self._tracked = math.fsum(np.abs(a)) if a.size else 0.0
+        self._tracked = math.fsum(np.abs(a).tolist()) if a.size else 0.0
         self._radius_sq = float(np.max(np.einsum("ij,ij->i", w, w))) if a.size else 0.0
         self._radius = math.sqrt(self._radius_sq)
 
@@ -200,6 +251,17 @@ class AtomSum:
                       np.ascontiguousarray(freqs, dtype=np.float64),
                       np.ascontiguousarray(phases, dtype=np.float64))
         return obj
+
+    def _rephased(self, amps: np.ndarray, shift: float) -> "AtomSum":
+        """Internal: this sum with new amplitudes and every phase moved by
+        `shift`.  The frequency set is unchanged, so there is nothing to merge:
+        the result is canonical once zero amplitudes are dropped and phases
+        are reduced into [0, 2*pi)."""
+        if not np.isfinite(amps).all():
+            raise ValueError("atom data must be finite")
+        keep = amps != 0.0
+        return AtomSum._trusted(self._d, self._torus, amps[keep], self._freqs[keep],
+                                _reduce_phases(self._phases[keep] + shift))
 
     @classmethod
     def zero(cls, dimension: int, torus_mode: bool = True) -> "AtomSum":

@@ -64,13 +64,7 @@ def partial_derivative(s: AtomSum, axis: int) -> AtomSum:
         raise ValueError(f"axis {axis} out of range for dimension {s.dimension}")
     if s.is_zero:
         return s
-    return AtomSum(
-        s.dimension,
-        s.torus_mode,
-        s.amplitudes * s.frequencies[:, axis],
-        s.frequencies,
-        s.phases + HALF_PI,
-    )
+    return s._rephased(s.amplitudes * s.frequencies[:, axis], HALF_PI)
 
 
 def second_derivative(s: AtomSum, axis_i: int, axis_j: int) -> AtomSum:
@@ -80,13 +74,7 @@ def second_derivative(s: AtomSum, axis_i: int, axis_j: int) -> AtomSum:
             raise ValueError(f"axis {ax} out of range for dimension {s.dimension}")
     if s.is_zero:
         return s
-    return AtomSum(
-        s.dimension,
-        s.torus_mode,
-        s.amplitudes * s.frequencies[:, axis_i] * s.frequencies[:, axis_j],
-        s.frequencies,
-        s.phases + math.pi,
-    )
+    return s._rephased(s.amplitudes * s.frequencies[:, axis_i] * s.frequencies[:, axis_j], math.pi)
 
 
 def precondition(s: AtomSum) -> AtomSum:

@@ -44,18 +44,20 @@ class TwoLayerNet:
         amplitude sign * ell * count / width, so a zero-variance network
         reproduces its target bitwise.
         """
-        counts = {}
-        for a, w, b in zip(self.amplitudes, self.frequencies, self.phases):
-            key = (tuple(w), float(b))
-            counts[key] = counts.get(key, 0.0) + math.copysign(1.0, a)
-        ell = abs(float(self.amplitudes[0])) if self.width else 0.0
-        atoms = [
-            (ell * net / self.width, key[0], key[1])
-            for key, net in counts.items()
-            if net != 0.0
-        ]
-        return AtomSum.from_atoms(
-            atoms, dimension=self.dimension, torus_mode=self.torus_mode
+        if self.width == 0:
+            return AtomSum.zero(self.dimension, self.torus_mode)
+        rows = np.column_stack([self.frequencies, self.phases])
+        order = np.lexsort(rows.T)
+        rows = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        starts = first.nonzero()[0]
+        net = np.add.reduceat(np.copysign(1.0, self.amplitudes[order]), starts)
+        live = net != 0.0
+        ell = abs(float(self.amplitudes[0]))
+        rows = rows[starts[live]]
+        return AtomSum(
+            self.dimension, self.torus_mode, ell * net[live] / self.width, rows[:, :-1], rows[:, -1]
         )
 
 

@@ -89,6 +89,7 @@ class LedgerRecord:
     atom_count: int
     tracked_norm: float
     support_radius: float
+    support_radius_sq: float
     dropped_mass: float
     cosine_bound: float
     y_bound: float
@@ -116,6 +117,7 @@ def initial_state(p, u0=None):
         atom_count=u0.atom_count,
         tracked_norm=tracked,
         support_radius=u0.support_radius,
+        support_radius_sq=u0.support_radius_sq,
         dropped_mass=0.0,
         cosine_bound=tracked,
         y_bound=tracked,
@@ -215,6 +217,7 @@ def step(p, state, alpha, prune_threshold=0.0, prune_mass_budget=None):
             atom_count=u_next.atom_count,
             tracked_norm=u_next.tracked_norm,
             support_radius=u_next.support_radius,
+            support_radius_sq=u_next.support_radius_sq,
             dropped_mass=dropped,
             cosine_bound=bound,
             y_bound=y_next,

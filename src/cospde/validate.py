@@ -52,7 +52,23 @@ def check_atom_merge():
     )
     if err > 1e-12:
         raise AssertionError(f"pointwise error {err!r}")
-    return f"1 atom, max pointwise error {err!r}"
+    # the same amplitudes at b and b + pi, shuffled together, cancel exactly
+    rng = np.random.default_rng(17)
+    amps = rng.uniform(-1.0, 1.0, 200)
+    cancel = AtomSum(
+        2,
+        True,
+        np.concatenate([amps, rng.permutation(amps)]),
+        np.tile([1.0, -2.0], (400, 1)),
+        np.repeat([2.5, 2.5 + math.pi], 200),
+    )
+    if not cancel.is_zero:
+        raise AssertionError(f"b and b + pi left {cancel.atom_count} atoms, expected none")
+    # phases just above 0 and just below 2 pi are one phase
+    wrap = AtomSum.from_atoms([(1.0, (1.0,), 1e-13), (2.0, (1.0,), 2.0 * math.pi - 1e-13)])
+    if [(a.amplitude, a.phase) for a in wrap.atoms] != [(3.0, 1e-13)]:
+        raise AssertionError(f"wrap-around merge gave {wrap.atoms!r}")
+    return f"1 atom, max pointwise error {err!r}; b/b+pi cancel exactly; 2pi wrap merges"
 
 
 def check_canonical_idempotence():

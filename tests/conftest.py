@@ -89,3 +89,14 @@ def identity_problem(d=2):
     return EllipticProblem(
         identity_coefficients(d), constant_sum(d, 1.0), f, 1.0, 1.0
     )
+
+
+def collinear_problem():
+    """A = 2I, c = 2 + cos(x1 + x2 + x3)/4, f = cos(x1 + x2 + x3): iterates
+    grow along (1, 1, 1), where sqrt(75) rounds above sqrt(48) + sqrt(3)."""
+    from cospde.problem import EllipticProblem, constant_sum, diagonal_coefficients
+
+    d = 3
+    c = AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0), (0.25, (1.0,) * d, 0.0)])
+    f = AtomSum.from_atoms([(1.0, (1.0,) * d, 0.0)])
+    return EllipticProblem(diagonal_coefficients([constant_sum(d, 2.0)] * d), c, f, 1.75, 2.25)

@@ -126,6 +126,110 @@ class TestCanonicalForm:
             assert s.tracked_norm <= raw_mass * (1 + 1e-13)
 
 
+def _product_terms(rng, n1, n2, d, generic_phases):
+    """Unmerged terms of the product of two random sums (the pair rule).
+
+    Quarter-turn phases make many terms share a phase exactly; generic
+    phases make every merge combine distinct phases."""
+
+    def phases(n):
+        if generic_phases:
+            return rng.uniform(0.0, TWO_PI, n)
+        return rng.integers(0, 4, n) * (math.pi / 2) + rng.choice([0.0, 0.7], n)
+
+    w1 = rng.integers(-4, 5, size=(n1, d)).astype(float)
+    w2 = rng.integers(-1, 2, size=(n2, d)).astype(float)
+    b1, b2 = phases(n1), phases(n2)
+    half = 0.5 * np.multiply.outer(rng.uniform(-1, 1, n1), rng.uniform(-1, 1, n2)).ravel()
+    amps = np.concatenate([half, half])
+    freqs = np.concatenate([(w1[:, None] + w2[None]).reshape(-1, d), (w1[:, None] - w2[None]).reshape(-1, d)])
+    phs = np.concatenate([(b1[:, None] + b2[None]).ravel(), (b1[:, None] - b2[None]).ravel()])
+    return amps, freqs, phs
+
+
+def _bitwise_equal(s1, s2):
+    return all(x.tobytes() == y.tobytes() for x, y in (
+        (s1.amplitudes, s2.amplitudes), (s1.frequencies, s2.frequencies), (s1.phases, s2.phases)))
+
+
+class TestMergeKernel:
+    def test_phases_near_zero_and_two_pi_merge_across_the_wrap(self):
+        s = AtomSum.from_atoms([(1.0, (3.0,), 1e-13), (2.0, (3.0,), TWO_PI - 1e-13)])
+        assert [(a.amplitude, a.phase) for a in s.atoms] == [(3.0, 1e-13)]
+
+    def test_phases_either_side_of_pi_form_one_cluster(self):
+        s = AtomSum.from_atoms([(2.0, (3.0,), math.pi + 1e-13), (1.0, (3.0,), math.pi - 1e-13)])
+        assert [(a.amplitude, a.phase) for a in s.atoms] == [(3.0, math.pi - 1e-13)]
+
+    @pytest.mark.parametrize("terms,expected", [
+        ([(1.0, 1.0 + 5e-13), (0.5, 1.0), (0.25, 1.0 + math.pi)], (1.25, 1.0)),
+        ([(1.0, 4.0 + 5e-13), (0.5, 4.0)], (1.5, 4.0)),
+        ([(1.0, 4.0), (0.25, 4.0 - math.pi)], (-0.75, 4.0 - math.pi)),
+    ])
+    def test_cluster_keeps_its_smallest_phase_and_opposite_phases_subtract(self, terms, expected):
+        s = AtomSum.from_atoms([(a, (2.0,), b) for a, b in terms])
+        assert [(a.amplitude, a.phase) for a in s.atoms] == [expected]
+
+    @pytest.mark.parametrize("b", [0.0, 0.25, 3.0, 4.5, TWO_PI - 1e-13])
+    def test_many_duplicates_at_b_and_b_plus_pi_cancel_exactly(self, b):
+        rng = np.random.default_rng(60)
+        a = rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.integers(-6, 3, 300)
+        amps = np.concatenate([a, rng.permutation(a)])
+        phases = np.concatenate([np.full(300, b), np.full(300, b + math.pi)])
+        perm = rng.permutation(600)
+        s = AtomSum(2, True, amps[perm], np.tile([2.0, -1.0], (600, 1)), phases[perm])
+        assert s.is_zero
+
+    @pytest.mark.parametrize("generic_phases", [False, True])
+    def test_dense_product_is_independent_of_term_order(self, generic_phases):
+        rng = np.random.default_rng(61)
+        amps, freqs, phases = _product_terms(rng, 400, 13, 3, generic_phases)
+        assert len(amps) == 10400
+        s = AtomSum(3, True, amps, freqs, phases)
+        for _ in range(3):
+            perm = rng.permutation(len(amps))
+            assert _bitwise_equal(AtomSum(3, True, amps[perm], freqs[perm], phases[perm]), s)
+
+    @pytest.mark.parametrize("generic_phases", [False, True])
+    def test_tracked_norm_at_most_premerge_mass(self, generic_phases):
+        rng = np.random.default_rng(62)
+        amps, freqs, phases = _product_terms(rng, 400, 13, 3, generic_phases)
+        s = AtomSum(3, True, amps, freqs, phases)
+        assert s.atom_count < len(amps)
+        assert s.tracked_norm <= math.fsum(np.abs(amps))
+
+    def test_merged_atoms_match_direct_complex_sums(self):
+        rng = np.random.default_rng(63)
+        amps, freqs, phases = _product_terms(rng, 400, 13, 3, generic_phases=True)
+        direct = {}
+        for a, w, b in zip(amps, freqs, phases):
+            nz = np.flatnonzero(w)
+            if len(nz) and w[nz[0]] < 0:
+                w, b = -w, -b
+            key = tuple(w + 0.0)
+            direct[key] = direct.get(key, 0.0) + (a * math.cos(b) if not len(nz) else a * complex(math.cos(b), math.sin(b)))
+        s = AtomSum(3, True, amps, freqs, phases)
+        assert [a.frequency for a in s.atoms] == sorted(direct)
+        for atom in s.atoms:
+            z = direct[atom.frequency]
+            got = atom.amplitude * complex(math.cos(atom.phase), math.sin(atom.phase))
+            assert abs(got - z) <= 1e-13 * abs(z)
+
+    def test_constant_that_rounds_to_zero_is_dropped(self):
+        # 1e-310 * cos(pi/2) underflows to 0.0 once the constant is formed
+        tiny = [1e-310, 1.0]
+        s = AtomSum(1, True, tiny, [[0.0], [2.0]], [math.pi / 2, 0.0])
+        assert [(a.amplitude, a.frequency) for a in s.atoms] == [(1.0, (2.0,))]
+        assert AtomSum(1, True, tiny[:1], [[0.0]], [math.pi / 2]).is_zero
+
+    def test_large_canonical_sum_round_trips_bitwise(self):
+        rng = np.random.default_rng(64)
+        s = random_sum(rng, 3, 6000, max_freq=8)
+        assert s.atom_count >= 2000
+        rebuilt = AtomSum.from_atoms(s.atoms, dimension=3)
+        assert _bitwise_equal(rebuilt, s)
+
+
 class TestValidation:
     def test_torus_mode_rejects_noninteger_frequency(self):
         with pytest.raises(ValueError):

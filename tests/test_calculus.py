@@ -122,6 +122,15 @@ class TestDerivatives:
             scale_ref = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(got - fd)) <= 1e-6 * scale_ref
 
+    def test_derivatives_are_canonical_without_a_merge(self):
+        rng = np.random.default_rng(75)
+        s = random_sum(rng, 3, 40, max_freq=3)
+        for ds in [partial_derivative(s, 1)] + [second_derivative(s, i, j) for i in range(3) for j in range(3)]:
+            rebuilt = AtomSum(3, True, ds.amplitudes, ds.frequencies, ds.phases)
+            assert ds.amplitudes.tobytes() == rebuilt.amplitudes.tobytes()
+            assert ds.frequencies.tobytes() == rebuilt.frequencies.tobytes()
+            assert ds.phases.tobytes() == rebuilt.phases.tobytes()
+
     def test_second_derivative_example(self):
         s = AtomSum.from_atoms([(1.0, (2.0,), 0.3)])
         d2 = second_derivative(s, 0, 0)

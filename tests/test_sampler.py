@@ -87,6 +87,21 @@ class TestConversion:
         scale_ref = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(direct - via_atoms)) <= 1e-13 * scale_ref
 
+    @pytest.mark.parametrize("k", [1, 64, 4096])
+    def test_matches_neuron_by_neuron_count(self, k):
+        # reference: count each distinct (w, b) neuron in a dict, then scale
+        g = ten_atom_target()
+        net = sample_network(g, k, seed=21)
+        counts = {}
+        for a, w, b in zip(net.amplitudes, net.frequencies, net.phases):
+            key = (tuple(w), float(b))
+            counts[key] = counts.get(key, 0.0) + math.copysign(1.0, a)
+        ell = abs(float(net.amplitudes[0]))
+        expected = AtomSum.from_atoms(
+            [(ell * c / k, w, b) for (w, b), c in counts.items() if c != 0.0], dimension=2
+        )
+        assert net.to_atom_sum() == expected
+
     def test_atom_count_bounded_by_target_support(self):
         g = ten_atom_target()
         net = sample_network(g, 4096, seed=9)

@@ -8,7 +8,7 @@ import pytest
 import cospde.solver as solver_module
 from cospde.atoms import AtomSum, add, h1_norm_torus, scale
 from cospde.oracle import galerkin_solve, h1_distance
-from cospde.problem import EllipticProblem, constant_sum, diagonal_coefficients
+from cospde.problem import EllipticProblem, constant_sum
 from cospde.solver import (
     IterationState,
     LedgerViolationError,
@@ -23,7 +23,7 @@ from cospde.solver import (
     solve,
     step,
 )
-from conftest import d1_benchmark, d2_benchmark, identity_problem
+from conftest import collinear_problem, d1_benchmark, d2_benchmark, identity_problem
 
 
 def all_ones_problem():
@@ -33,15 +33,6 @@ def all_ones_problem():
     one = constant_sum(1, 1.0)
     f = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
     return EllipticProblem(((a,),), one, f, 1.0, 1.0)
-
-
-def collinear_problem():
-    # A = 2I, c = 2 + cos(x1 + x2 + x3)/4, f = cos(x1 + x2 + x3): iterates
-    # grow along (1, 1, 1), where sqrt(75) rounds above sqrt(48) + sqrt(3)
-    d = 3
-    c = AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0), (0.25, (1.0,) * d, 0.0)])
-    f = AtomSum.from_atoms([(1.0, (1.0,) * d, 0.0)])
-    return EllipticProblem(diagonal_coefficients([constant_sum(d, 2.0)] * d), c, f, 1.75, 2.25)
 
 
 class TestOptimalStep:
@@ -149,18 +140,19 @@ class TestStep:
         assert state.u == u1
 
     def test_ledger_rows_satisfy_recorded_bounds(self):
-        p = d2_benchmark()
-        alpha, _ = optimal_step(p.lam_min, p.lam_max)
-        state = initial_state(p)
-        for _ in range(6):
-            step(p, state, alpha)
-        prev = state.ledger[0]
-        for row in state.ledger[1:]:
-            assert row.tracked_norm <= row.cosine_bound
-            assert row.tracked_norm <= row.y_bound
-            assert row.support_radius <= prev.support_radius + p.coeff_radius
-            assert row.cosine_bound == cosine_ledger_bound(p, alpha, prev.tracked_norm)
-            prev = row
+        for p in (d2_benchmark(), collinear_problem()):
+            alpha, _ = optimal_step(p.lam_min, p.lam_max)
+            state = initial_state(p)
+            for _ in range(6):
+                step(p, state, alpha)
+            prev = state.ledger[0]
+            for row in state.ledger[1:]:
+                assert row.tracked_norm <= row.cosine_bound
+                assert row.tracked_norm <= row.y_bound
+                assert _radius_within(row.support_radius_sq, prev.support_radius_sq, p.coeff_radius_sq, 1)
+                assert row.cosine_bound == cosine_ledger_bound(p, alpha, prev.tracked_norm)
+                prev = row
+            assert prev.support_radius_sq == state.u.support_radius_sq
 
     def test_residual_estimates_backfilled(self):
         p = d1_benchmark()
@@ -271,18 +263,26 @@ class TestSolve:
         assert result.state.eps_budget_used <= 0.5e-4 * (1.0 + 1e-12)
 
     def test_d2_benchmark_meets_epsilon(self):
-        result = solve(d2_benchmark(), epsilon=1e-3)
+        p = d2_benchmark()
+        result = solve(p, epsilon=1e-3)
         assert result.final_h1_error <= 1e-3
         final = result.state.ledger[-1]
         assert final.tracked_norm <= result.predicted_norm
-        assert final.support_radius <= result.predicted_radius
+        assert _radius_within(final.support_radius_sq, result.state.ledger[0].support_radius_sq,
+                              p.coeff_radius_sq, result.steps_planned)
 
     def test_collinear_frequencies_pass_the_radius_ledger(self):
         p = collinear_problem()
         result = solve(p, 1e-8, prune_enabled=False)
         assert result.steps_planned >= 5
         assert result.final_h1_error <= 1e-8
-        assert result.state.u.support_radius_sq == 3.0 * result.steps_planned**2
+        final = result.state.ledger[-1]
+        assert final.support_radius_sq == 3.0 * result.steps_planned**2
+        assert final.tracked_norm <= result.predicted_norm
+        # sqrt(75) rounds above sqrt(48) + sqrt(3) here, so float radii would
+        # misorder: the radius ledger is checked on exact squared norms
+        assert _radius_within(final.support_radius_sq, result.state.ledger[0].support_radius_sq,
+                              p.coeff_radius_sq, result.steps_planned)
 
     def test_predictor_agrees_with_solve_plan(self):
         p = d1_benchmark()
