@@ -11,7 +11,6 @@ from .atoms import (
     Atom,
     AtomSum,
     add,
-    canonicalize,
     evaluate,
     from_text,
     h1_norm_torus,
@@ -100,7 +99,6 @@ __all__ = [
     "add",
     "apply_elliptic",
     "build_problem",
-    "canonicalize",
     "constant_sum",
     "cosine_ledger_bound",
     "default_truncation",

@@ -15,20 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .atoms import TWO_PI, AtomSum, scale, sum_many
 
 HALF_PI = math.pi / 2
-
-
-def _check_same_space(s1: AtomSum, s2: AtomSum):
-    if s1.dimension != s2.dimension:
-        raise ValueError("dimension mismatch")
-    if s1.torus_mode != s2.torus_mode:
-        raise ValueError("torus/plane mode mismatch")
 
 
 def product(s1: AtomSum, s2: AtomSum) -> AtomSum:
@@ -40,10 +32,11 @@ def product(s1: AtomSum, s2: AtomSum) -> AtomSum:
     carries mass exactly tracked_norm(s1) * tracked_norm(s2); merging can only
     shrink it, so tracked norms are submultiplicative.
     """
-    _check_same_space(s1, s2)
     d = s1.dimension
+    if s2.dimension != d:
+        raise ValueError("dimension mismatch")
     if s1.is_zero or s2.is_zero:
-        return AtomSum.zero(d, s1.torus_mode)
+        return AtomSum.zero(d)
     half = 0.5 * np.multiply.outer(s1.amplitudes, s2.amplitudes).ravel()
     w_plus = (s1.frequencies[:, None, :] + s2.frequencies[None, :, :]).reshape(-1, d)
     w_minus = (s1.frequencies[:, None, :] - s2.frequencies[None, :, :]).reshape(-1, d)
@@ -51,7 +44,7 @@ def product(s1: AtomSum, s2: AtomSum) -> AtomSum:
     b_minus = (s1.phases[:, None] - s2.phases[None, :]).ravel()
     return AtomSum(
         d,
-        s1.torus_mode,
+        True,
         np.concatenate([half, half]),
         np.concatenate([w_plus, w_minus]),
         np.concatenate([b_plus, b_minus]),
@@ -82,38 +75,26 @@ def precondition(s: AtomSum) -> AtomSum:
     if s.is_zero:
         return s
     wsq = np.einsum("ij,ij->i", s.frequencies, s.frequencies)
-    return AtomSum._trusted(s.dimension, s.torus_mode, s.amplitudes / (1.0 + wsq), s.frequencies, s.phases)
+    return AtomSum._trusted(s.dimension, s.amplitudes / (1.0 + wsq), s.frequencies, s.phases)
 
 
-def _validate_coefficient_matrix(a_entries, d: int, torus: bool):
-    if len(a_entries) != d or any(len(row) != d for row in a_entries):
-        raise ValueError(f"A must be a {d}x{d} matrix of atom sums")
-    for i in range(d):
-        for j in range(d):
-            entry = a_entries[i][j]
-            if entry.dimension != d or entry.torus_mode != torus:
-                raise ValueError("A entries must share the problem's dimension and mode")
-    for i in range(d):
-        for j in range(i + 1, d):
-            if a_entries[i][j] != a_entries[j][i]:
-                raise ValueError("A must be symmetric")
-
-
-def apply_elliptic(a_entries: Sequence[Sequence[AtomSum]], c: AtomSum, u: AtomSum) -> AtomSum:
+def apply_elliptic(p, u: AtomSum) -> AtomSum:
     """Apply L u = -sum_ij (d_i A_ij * d_j u + A_ij * d_ij u) + c u.
 
-    Returns L u itself (no right-hand side subtracted).  All terms stay in the
-    atom algebra; empty coefficient entries are skipped.
+    `p` is an EllipticProblem, whose constructor has already checked that
+    A is a symmetric d x d matrix of atom sums in the dimension of c and f.
+    Returns L u itself (no right-hand side subtracted).  All terms stay in
+    the atom algebra; empty coefficient entries are skipped.
     """
-    d = u.dimension
-    _validate_coefficient_matrix(a_entries, d, u.torus_mode)
-    _check_same_space(c, u)
-    terms = [product(c, u)]
+    d = p.dimension
+    if u.dimension != d:
+        raise ValueError("dimension mismatch")
+    terms = [product(p.c, u)]
     if not u.is_zero:
         du = [partial_derivative(u, j) for j in range(d)]
         for i in range(d):
             for j in range(d):
-                a_ij = a_entries[i][j]
+                a_ij = p.a_entries[i][j]
                 if a_ij.is_zero:
                     continue
                 da = partial_derivative(a_ij, i)
@@ -133,7 +114,6 @@ class RebalancedMeasure:
     reproduces the sum in expectation."""
 
     dimension: int
-    torus_mode: bool
     total_mass: float
     probabilities: np.ndarray
     signs: np.ndarray
@@ -148,7 +128,6 @@ def rebalance(s: AtomSum) -> RebalancedMeasure:
     absamp = np.abs(s.amplitudes)
     return RebalancedMeasure(
         dimension=s.dimension,
-        torus_mode=s.torus_mode,
         total_mass=s.tracked_norm,
         probabilities=absamp / s.tracked_norm,
         signs=np.sign(s.amplitudes),
@@ -157,7 +136,7 @@ def rebalance(s: AtomSum) -> RebalancedMeasure:
     )
 
 
-def from_fourier_data(coefficients, dimension: int, torus_mode: bool = True) -> AtomSum:
+def from_fourier_data(coefficients, dimension: int) -> AtomSum:
     """Build an atom sum from complex Fourier coefficients.
 
     `coefficients` holds (k, c) pairs with one representative per conjugate
@@ -172,8 +151,6 @@ def from_fourier_data(coefficients, dimension: int, torus_mode: bool = True) -> 
         kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
         if kv.shape != (dimension,):
             raise ValueError(f"frequency {k!r} does not have dimension {dimension}")
-        if torus_mode and not np.array_equal(kv, np.round(kv)):
-            raise ValueError("torus mode requires integer frequencies")
         nz = np.nonzero(kv)[0]
         key = tuple(-kv) if len(nz) and kv[nz[0]] < 0 else tuple(kv)
         if key in seen:
@@ -185,8 +162,8 @@ def from_fourier_data(coefficients, dimension: int, torus_mode: bool = True) -> 
         else:
             triples.append((2.0 * abs(cval), tuple(kv), math.atan2(cval.imag, cval.real) % TWO_PI))
     if not triples:
-        return AtomSum.zero(dimension, torus_mode)
-    return AtomSum.from_atoms(triples, dimension=dimension, torus_mode=torus_mode)
+        return AtomSum.zero(dimension)
+    return AtomSum.from_atoms(triples, dimension=dimension)
 
 
 def general_norm_bound(

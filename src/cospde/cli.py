@@ -117,10 +117,9 @@ def cmd_solve(args, out):
     ]
     _write_csv(out / "ledger.csv", LEDGER_HEADER, rows)
     _write_lines(out / "solution.atoms", to_text(result.u).splitlines())
-    if result.reference is not None:
-        _write_lines(
-            out / "reference.atoms", to_text(result.reference.to_atom_sum()).splitlines()
-        )
+    reference = result.reference
+    if reference is not None:
+        _write_lines(out / "reference.atoms", to_text(reference.to_atom_sum()).splitlines())
 
     final = result.state.ledger[-1]
     a_min, a_max, c_min, c_max = result.probe_estimates
@@ -138,6 +137,8 @@ def cmd_solve(args, out):
         f"final_support_radius {final.support_radius!r}",
         f"predicted_radius {result.predicted_radius!r}",
         f"final_h1_error {_fmt(result.final_h1_error)}",
+        f"oracle_cg_iterations {'none' if reference is None else reference.cg_iterations}",
+        f"oracle_residual {'none' if reference is None else repr(reference.residual)}",
         f"residual_estimate {_fmt(final.residual_estimate)}",
         f"pruned_mass_accounted {result.state.eps_budget_used!r}",
         f"probe_a_range ({a_min!r}, {a_max!r})",

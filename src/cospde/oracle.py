@@ -84,16 +84,19 @@ class SpectralField:
     Frequencies are integer vectors in canonical form (first nonzero
     component positive); `truncation` caps the max-norm of every stored
     frequency.  `keys` and `coeffs` hold the entries of `table` as arrays,
-    built once at construction.  `residual` is attached by galerkin_solve.
+    built once at construction.  `residual` and `cg_iterations` are attached
+    by galerkin_solve.
     """
 
-    __slots__ = ("dimension", "truncation", "table", "keys", "coeffs", "residual")
+    __slots__ = ("dimension", "truncation", "table", "keys", "coeffs", "residual",
+                 "cg_iterations")
 
     def __init__(self, dimension, truncation, table, residual=None):
         self.dimension = int(dimension)
         self.truncation = int(truncation)
         self.table = dict(table)
         self.residual = residual
+        self.cg_iterations = None
         for key in self.table:
             if len(key) != self.dimension:
                 raise ValueError(f"frequency {key} has wrong dimension")
@@ -105,8 +108,6 @@ class SpectralField:
 
     @classmethod
     def from_atom_sum(cls, s, truncation):
-        if not s.torus_mode:
-            raise ValueError("spectral fields need torus mode")
         keys = _integer_frequencies(s)
         cv, sv = _cos_sin(s.amplitudes, s.phases)
         table = zip(map(tuple, keys.tolist()), zip(cv.tolist(), sv.tolist()))
@@ -202,12 +203,11 @@ def galerkin_solve(p, truncation):
 
     The system is assembled exactly from the Fourier coefficients of the
     atom data and solved by conjugate gradients preconditioned with the
-    diagonal 1/(1 + |k|^2).  The returned field carries the L2 residual of
-    the truncated equation computed through the atom algebra
-    (apply_elliptic), which checks the Fourier assembly independently.
+    diagonal 1/(1 + |k|^2).  The returned field carries the number of CG
+    iterations and the L2 residual of the truncated equation computed
+    through the atom algebra (apply_elliptic), which checks the Fourier
+    assembly independently.
     """
-    if not p.torus_mode:
-        raise ValueError("Galerkin reference needs torus mode")
     truncation = int(truncation)
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -219,8 +219,14 @@ def galerkin_solve(p, truncation):
     freqs, matrix, rhs = galerkin_system(p, truncation)
     ksq = np.einsum("ij,ij->i", freqs, freqs)
     inverse_laplacian = scipy.sparse.diags(1.0 / (1.0 + ksq))
+    iterations = 0
+
+    def count_iteration(_):
+        nonlocal iterations
+        iterations += 1
+
     solution, info = scipy.sparse.linalg.cg(
-        matrix, rhs, rtol=CG_RTOL, atol=0.0, M=inverse_laplacian
+        matrix, rhs, rtol=CG_RTOL, atol=0.0, M=inverse_laplacian, callback=count_iteration
     )
     if info != 0:
         raise RuntimeError(f"CG failed to converge (info={info})")
@@ -242,12 +248,13 @@ def galerkin_solve(p, truncation):
                 zip(cos_part[half].tolist(), sin_part[half].tolist()))
 
     field = SpectralField(p.dimension, truncation, table)
+    field.cg_iterations = iterations
     field.residual = _truncated_l2_residual(p, field)
     return field
 
 
 def _truncated_l2_residual(p, field):
-    image = apply_elliptic(p.a_entries, p.c, field.to_atom_sum())
+    image = apply_elliptic(p, field.to_atom_sum())
     diff = add(image, scale(p.f, -1.0))
     keys = _integer_frequencies(diff)
     inside = np.max(np.abs(keys), axis=1, initial=0) <= field.truncation
@@ -262,8 +269,6 @@ def h1_distance(u, ref):
     Frequencies of u outside the reference truncation contribute their
     full weight to the difference.
     """
-    if not u.torus_mode:
-        raise ValueError("H1 distance needs torus mode")
     if u.dimension != ref.dimension:
         raise ValueError("dimension mismatch")
     keys = np.concatenate([ref.keys, _integer_frequencies(u)])
@@ -286,8 +291,6 @@ def _dense_grid(dimension, points_per_axis):
 
 def fft_precondition_check(s, grid_points_per_axis):
     """Max grid discrepancy between the atomwise and FFT preconditioners."""
-    if not s.torus_mode:
-        raise ValueError("FFT check needs torus mode")
     d = s.dimension
     if d > GRID_DIMENSION_CAP:
         raise ValueError(f"grid check capped at dimension {GRID_DIMENSION_CAP}")
@@ -372,8 +375,6 @@ def ellipticity_probe(p, refinement_limit=6):
     Raises ProbeFailureError on detected non-ellipticity or when the
     sampled range escapes the user's [lam_min, lam_max].
     """
-    if not p.torus_mode:
-        raise ValueError("probe needs torus mode")
     limit = max(1, int(refinement_limit))
 
     if p.dimension <= GRID_DIMENSION_CAP:

@@ -13,21 +13,17 @@ import math
 from .atoms import AtomSum, h_minus1_norm_torus
 
 
-def constant_sum(dimension, value, torus_mode=True):
+def constant_sum(dimension, value):
     """The constant function `value` as a single zero-frequency atom."""
     if value == 0.0:
-        return AtomSum.zero(dimension, torus_mode)
-    return AtomSum.from_atoms(
-        [(float(value), (0.0,) * dimension, 0.0)],
-        dimension=dimension,
-        torus_mode=torus_mode,
-    )
+        return AtomSum.zero(dimension)
+    return AtomSum.from_atoms([(float(value), (0.0,) * dimension, 0.0)], dimension=dimension)
 
 
-def identity_coefficients(dimension, torus_mode=True):
+def identity_coefficients(dimension):
     """The identity matrix: constant 1 on the diagonal, 0 elsewhere."""
-    one = constant_sum(dimension, 1.0, torus_mode)
-    zero = AtomSum.zero(dimension, torus_mode)
+    one = constant_sum(dimension, 1.0)
+    zero = AtomSum.zero(dimension)
     return tuple(
         tuple(one if i == j else zero for j in range(dimension))
         for i in range(dimension)
@@ -40,7 +36,7 @@ def diagonal_coefficients(entries):
     d = len(entries)
     if d == 0:
         raise ValueError("empty diagonal")
-    zero = AtomSum.zero(entries[0].dimension, entries[0].torus_mode)
+    zero = AtomSum.zero(entries[0].dimension)
     return tuple(
         tuple(entries[i] if i == j else zero for j in range(d)) for i in range(d)
     )
@@ -53,8 +49,8 @@ class EllipticProblem:
         if not isinstance(c, AtomSum) or not isinstance(f, AtomSum):
             raise TypeError("c and f must be atom sums")
         d = c.dimension
-        if f.dimension != d or f.torus_mode != c.torus_mode:
-            raise ValueError("c and f live in different spaces")
+        if f.dimension != d:
+            raise ValueError("c and f have different dimensions")
 
         rows = tuple(tuple(row) for row in a_entries)
         if len(rows) != d or any(len(row) != d for row in rows):
@@ -64,8 +60,8 @@ class EllipticProblem:
                 entry = rows[i][j]
                 if not isinstance(entry, AtomSum):
                     raise TypeError("A entries must be atom sums")
-                if entry.dimension != d or entry.torus_mode != c.torus_mode:
-                    raise ValueError(f"A[{i}][{j}] lives in a different space")
+                if entry.dimension != d:
+                    raise ValueError(f"A[{i}][{j}] has dimension {entry.dimension}, not {d}")
                 if j < i and rows[i][j] != rows[j][i]:
                     raise ValueError(f"A[{i}][{j}] != A[{j}][{i}]: A must be symmetric")
 
@@ -82,7 +78,6 @@ class EllipticProblem:
         self.lam_min = lam_min
         self.lam_max = lam_max
         self.dimension = d
-        self.torus_mode = c.torus_mode
 
         flat = [rows[i][j] for i in range(d) for j in range(d)]
         self.ell_A = max(s.tracked_norm for s in flat)
@@ -97,8 +92,6 @@ class EllipticProblem:
 
     def initial_error_bound(self):
         """H1 distance from u0=0 to the solution: at most |f|_{H^-1} / lam_min."""
-        if not self.torus_mode:
-            raise ValueError("exact H^-1 norm needs torus mode")
         return h_minus1_norm_torus(self.f) / self.lam_min
 
     def __repr__(self):

@@ -21,9 +21,10 @@ A file is a sequence of `key value` directives and atom blocks:
     1 1 0 0
     end
 
-Unspecified A entries default to the constant 1 on the diagonal and 0 off
-it.  An optional `g` block names a sampling target for rate studies.
-Directives: dim, torus (0/1), lambda_min, lambda_max, epsilon, seed,
+Frequencies are integer vectors: every problem lives on the torus
+[0, 2*pi)^d.  Unspecified A entries default to the constant 1 on the
+diagonal and 0 off it.  An optional `g` block names a sampling target for
+rate studies.  Directives: dim, lambda_min, lambda_max, epsilon, seed,
 prune_budget.
 """
 
@@ -36,7 +37,6 @@ from .problem import EllipticProblem, constant_sum
 
 _DIRECTIVES = {
     "dim": int,
-    "torus": int,
     "lambda_min": float,
     "lambda_max": float,
     "epsilon": float,
@@ -54,7 +54,6 @@ class ParseError(RuntimeError):
 @dataclass
 class ProblemFileData:
     dimension: int
-    torus: bool = True
     lambda_min: Optional[float] = None
     lambda_max: Optional[float] = None
     epsilon: Optional[float] = None
@@ -70,7 +69,7 @@ def _strip(line):
     return line.split("#", 1)[0].strip()
 
 
-def _parse_atom_lines(lines, dimension, torus, block_name, start_line):
+def _parse_atom_lines(lines, dimension, block_name, start_line):
     atoms = []
     for number, text in lines:
         parts = text.split()
@@ -86,7 +85,7 @@ def _parse_atom_lines(lines, dimension, torus, block_name, start_line):
             raise ParseError(number, f"{block_name}: {exc}") from None
         atoms.append((values[0], tuple(values[1 : dimension + 1]), values[-1]))
     try:
-        return AtomSum.from_atoms(atoms, dimension=dimension, torus_mode=torus)
+        return AtomSum.from_atoms(atoms, dimension=dimension)
     except ValueError as exc:
         raise ParseError(start_line, f"{block_name}: {exc}") from None
 
@@ -183,9 +182,8 @@ def parse_problem_text(text):
     dimension = directives["dim"]
     if dimension < 1:
         raise ParseError(1, "dim must be positive")
-    torus = bool(directives.get("torus", 1))
 
-    data = ProblemFileData(dimension=dimension, torus=torus)
+    data = ProblemFileData(dimension=dimension)
     data.lambda_min = directives.get("lambda_min")
     data.lambda_max = directives.get("lambda_max")
     data.epsilon = directives.get("epsilon")
@@ -195,14 +193,12 @@ def parse_problem_text(text):
     for key, (start, body) in blocks.items():
         if key[0] == "A":
             data.a_blocks[(key[1], key[2])] = _parse_atom_lines(
-                body, dimension, torus, f"A {key[1]} {key[2]}", start
+                body, dimension, f"A {key[1]} {key[2]}", start
             )
         elif key[0] == "f_fourier":
-            if not torus:
-                raise ParseError(start, "f_fourier needs torus mode")
             data.f = _parse_fourier_lines(body, dimension, start)
         else:
-            parsed = _parse_atom_lines(body, dimension, torus, key[0], start)
+            parsed = _parse_atom_lines(body, dimension, key[0], start)
             setattr(data, key[0], parsed)
     return data
 
@@ -221,8 +217,8 @@ def build_problem(data):
     if data.lambda_min is None or data.lambda_max is None:
         raise ParseError(1, "missing directive: lambda_min / lambda_max")
     d = data.dimension
-    one = constant_sum(d, 1.0, data.torus)
-    zero = AtomSum.zero(d, data.torus)
+    one = constant_sum(d, 1.0)
+    zero = AtomSum.zero(d)
     rows = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):

@@ -22,7 +22,6 @@ from .calculus import rebalance
 @dataclass(frozen=True)
 class TwoLayerNet:
     dimension: int
-    torus_mode: bool
     amplitudes: np.ndarray
     frequencies: np.ndarray
     phases: np.ndarray
@@ -45,7 +44,7 @@ class TwoLayerNet:
         reproduces its target bitwise.
         """
         if self.width == 0:
-            return AtomSum.zero(self.dimension, self.torus_mode)
+            return AtomSum.zero(self.dimension)
         rows = np.column_stack([self.frequencies, self.phases])
         order = np.lexsort(rows.T)
         rows = rows[order]
@@ -57,7 +56,7 @@ class TwoLayerNet:
         ell = abs(float(self.amplitudes[0]))
         rows = rows[starts[live]]
         return AtomSum(
-            self.dimension, self.torus_mode, ell * net[live] / self.width, rows[:, :-1], rows[:, -1]
+            self.dimension, True, ell * net[live] / self.width, rows[:, :-1], rows[:, -1]
         )
 
 
@@ -73,7 +72,6 @@ def sample_network(g, k, seed):
     idx = np.searchsorted(cumulative, rng.random(k), side="right")
     return TwoLayerNet(
         dimension=g.dimension,
-        torus_mode=g.torus_mode,
         amplitudes=np.asarray(measure.signs)[idx] * measure.total_mass,
         frequencies=np.asarray(measure.frequencies)[idx],
         phases=np.asarray(measure.phases)[idx],
@@ -82,8 +80,6 @@ def sample_network(g, k, seed):
 
 def h1_error_exact(net, g):
     """Exact H1 distance between the network and its target (no quadrature)."""
-    if not (net.torus_mode and g.torus_mode):
-        raise ValueError("exact H1 error needs torus mode")
     if net.dimension != g.dimension:
         raise ValueError("dimension mismatch")
     return h1_norm_torus(add(net.to_atom_sum(), scale(g, -1.0)))

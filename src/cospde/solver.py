@@ -106,24 +106,20 @@ class IterationState:
     y_bound: float
 
 
-def initial_state(p, u0=None):
-    if u0 is None:
-        u0 = AtomSum.zero(p.dimension, p.torus_mode)
-    elif u0.dimension != p.dimension or u0.torus_mode != p.torus_mode:
-        raise ValueError("warm start lives in a different space")
-    tracked = u0.tracked_norm
+def initial_state(p):
+    """The iteration's start u0 = 0 and its ledger row."""
     record = LedgerRecord(
         t=0,
-        atom_count=u0.atom_count,
-        tracked_norm=tracked,
-        support_radius=u0.support_radius,
-        support_radius_sq=u0.support_radius_sq,
+        atom_count=0,
+        tracked_norm=0.0,
+        support_radius=0.0,
+        support_radius_sq=0.0,
         dropped_mass=0.0,
-        cosine_bound=tracked,
-        y_bound=tracked,
+        cosine_bound=0.0,
+        y_bound=0.0,
     )
-    return IterationState(t=0, u=u0, ledger=[record], eps_budget_used=0.0,
-                          y_bound=tracked)
+    return IterationState(t=0, u=AtomSum.zero(p.dimension), ledger=[record],
+                          eps_budget_used=0.0, y_bound=0.0)
 
 
 def _radius_within(radius_sq, start_sq, shift_sq, steps):
@@ -169,13 +165,10 @@ def step(p, state, alpha, prune_threshold=0.0, prune_mass_budget=None):
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and nonnegative")
     u = state.u
-    if u.dimension != p.dimension or u.torus_mode != p.torus_mode:
-        raise ValueError("iterate lives in a different space")
-
-    image = apply_elliptic(p.a_entries, p.c, u)
+    image = apply_elliptic(p, u)
     residual = add(image, scale(p.f, -1.0))
     direction = precondition(residual)
-    if p.torus_mode and state.ledger[-1].residual_estimate is None:
+    if state.ledger[-1].residual_estimate is None:
         state.ledger[-1].residual_estimate = h1_norm_torus(direction)
 
     u_next = add(u, scale(direction, -alpha))
@@ -227,7 +220,7 @@ def step(p, state, alpha, prune_threshold=0.0, prune_mass_budget=None):
 
 
 def _residual_norm(p, u):
-    image = apply_elliptic(p.a_entries, p.c, u)
+    image = apply_elliptic(p, u)
     return h1_norm_torus(precondition(add(image, scale(p.f, -1.0))))
 
 
@@ -247,58 +240,43 @@ class SolveResult:
     final_h1_error: Optional[float] = None
 
 
-def solve(p, epsilon, prune_enabled=True, prune_budget=None, early_exit=False,
-          compare_oracle=None, oracle_truncation=None, warm_start=None,
-          refinement_limit=6):
+def solve(p, epsilon, prune_enabled=True, prune_budget=None,
+          compare_oracle=None, oracle_truncation=None):
     """Run the planned number of optimal-step iterations from u0 = 0.
 
     Half of epsilon is budgeted for the iteration count, half for
-    pruning (spread evenly over the steps).  In torus mode up to
-    dimension 3 every ledger row also records the exact H1 distance to
-    a Galerkin reference computed on a span containing every frequency
-    the iteration can reach.
+    pruning (spread evenly over the steps).  Up to dimension 3 every
+    ledger row also records the exact H1 distance to a Galerkin
+    reference computed on a span containing every frequency the
+    iteration can reach.
     """
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be positive")
-    probe_estimates = ellipticity_probe(p, refinement_limit)
+    probe_estimates = ellipticity_probe(p)
     alpha, contraction = optimal_step(p.lam_min, p.lam_max)
 
     if compare_oracle is None:
-        compare_oracle = p.torus_mode and p.dimension <= 3
-    if warm_start is not None and not compare_oracle:
-        raise ValueError("a warm start needs the reference to plan its step count")
+        compare_oracle = p.dimension <= 3
 
-    plan_T = iteration_count_bound(
-        p.lam_min, p.lam_max, p.initial_error_bound(), 0.5 * epsilon
-    )
+    initial_error = p.initial_error_bound()
+    steps = iteration_count_bound(p.lam_min, p.lam_max, initial_error, 0.5 * epsilon)
     reference = None
     if compare_oracle:
         truncation = (
             int(oracle_truncation)
             if oracle_truncation is not None
-            else default_truncation(p, plan_T)
+            else default_truncation(p, steps)
         )
         reference = galerkin_solve(p, truncation)
 
-    if warm_start is None:
-        initial_error = p.initial_error_bound()
-        steps = plan_T
-    else:
-        initial_error = h1_distance(warm_start, reference)
-        steps = iteration_count_bound(
-            p.lam_min, p.lam_max, initial_error, 0.5 * epsilon
-        )
-
-    state = initial_state(p, warm_start)
+    state = initial_state(p)
     q = growth_factor(p, alpha)
-    y = state.y_bound
+    y = 0.0
     for _ in range(steps):
         y = q * y + alpha * p.ell_f
     predicted_norm = y
-    # from u0 = 0 this reduces to coeff_radius * steps exactly
-    predicted_radius = state.u.support_radius + p.coeff_radius * steps
-    start_radius_sq = state.u.support_radius_sq
+    predicted_radius = p.coeff_radius * steps
     if reference is not None:
         state.ledger[0].h1_error = h1_distance(state.u, reference)
 
@@ -311,15 +289,8 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None, early_exit=False,
         step(p, state, alpha, prune_mass_budget=per_step_budget)
         if reference is not None:
             state.ledger[-1].h1_error = h1_distance(state.u, reference)
-        if early_exit and p.torus_mode:
-            res = _residual_norm(p, state.u)
-            state.ledger[-1].residual_estimate = res
-            # res / lam_min bounds the H1 error of the pruned iterate itself
-            if res / p.lam_min <= epsilon:
-                break
 
-    if p.torus_mode and state.ledger[-1].residual_estimate is None:
-        state.ledger[-1].residual_estimate = _residual_norm(p, state.u)
+    state.ledger[-1].residual_estimate = _residual_norm(p, state.u)
 
     final = state.ledger[-1]
     if final.tracked_norm > predicted_norm:
@@ -327,7 +298,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None, early_exit=False,
             f"final tracked norm {final.tracked_norm!r} exceeds prediction "
             f"{predicted_norm!r}"
         )
-    if not _radius_within(state.u.support_radius_sq, start_radius_sq, p.coeff_radius_sq, steps):
+    if not _radius_within(state.u.support_radius_sq, 0.0, p.coeff_radius_sq, steps):
         raise LedgerViolationError(
             f"final support radius {final.support_radius!r} exceeds prediction "
             f"{predicted_radius!r}"

@@ -49,13 +49,12 @@ def h1_norm_quadrature(s: AtomSum, n: int | None = None) -> float:
     return math.sqrt(float(integrand.mean()))
 
 
-def random_sum(rng: np.random.Generator, d: int, n_atoms: int, max_freq: int = 3,
-               torus: bool = True) -> AtomSum:
-    """Random torus-mode sum with integer frequencies and generic phases."""
+def random_sum(rng: np.random.Generator, d: int, n_atoms: int, max_freq: int = 3) -> AtomSum:
+    """Random sum with integer frequencies and generic phases."""
     freqs = rng.integers(-max_freq, max_freq + 1, size=(n_atoms, d)).astype(float)
     amps = rng.uniform(-1.0, 1.0, size=n_atoms)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_atoms)
-    return AtomSum(d, torus, amps, freqs, phases)
+    return AtomSum(d, True, amps, freqs, phases)
 
 
 def d1_benchmark():

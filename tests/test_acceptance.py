@@ -17,7 +17,6 @@ from conftest import collinear_problem, d1_benchmark, d2_benchmark, identity_pro
 from cospde.atoms import evaluate, from_text
 from cospde.calculus import apply_elliptic, partial_derivative, precondition, product
 from cospde.oracle import fft_precondition_check, green1d_check
-from cospde.problem import constant_sum, identity_coefficients
 from cospde.sampler import rate_study
 from cospde.solver import (
     _radius_within,
@@ -88,7 +87,7 @@ def test_01_atom_algebra_matches_pointwise_oracles():
                 manual += a / (1.0 + float(w @ w)) * np.cos(pts @ w + b)
             pre = precondition(s1)
             assert np.max(np.abs(evaluate(pre, pts) - manual)) <= 1e-11
-            back = apply_elliptic(identity_coefficients(d), constant_sum(d, 1.0), pre)
+            back = apply_elliptic(identity_problem(d), pre)
             assert np.max(np.abs(evaluate(back, pts) - evaluate(s1, pts))) <= 1e-11
 
 

@@ -9,7 +9,6 @@ from cospde.atoms import (
     Atom,
     AtomSum,
     add,
-    canonicalize,
     evaluate,
     from_text,
     h1_norm_torus,
@@ -85,8 +84,7 @@ class TestCanonicalForm:
     def test_canonicalize_idempotent_exactly(self, seed):
         rng = np.random.default_rng(seed)
         s = random_sum(rng, d=rng.integers(1, 4), n_atoms=25, max_freq=2)
-        assert canonicalize(s) == s
-        rebuilt = AtomSum.from_atoms(s.atoms, dimension=s.dimension, torus_mode=s.torus_mode)
+        rebuilt = AtomSum.from_atoms(s.atoms, dimension=s.dimension)
         assert rebuilt == s
 
     @pytest.mark.parametrize("seed", range(6))
@@ -233,11 +231,13 @@ class TestMergeKernel:
 class TestValidation:
     def test_torus_mode_rejects_noninteger_frequency(self):
         with pytest.raises(ValueError):
-            AtomSum.from_atoms([(1.0, (0.5,), 0.0)], torus_mode=True)
+            AtomSum.from_atoms([(1.0, (0.5,), 0.0)])
 
-    def test_plane_mode_accepts_real_frequencies(self):
-        s = AtomSum.from_atoms([(1.0, (0.5, -1.25), 0.0)], torus_mode=False)
-        assert s.atom_count == 1
+    def test_torus_is_the_only_space(self):
+        with pytest.raises(ValueError, match="torus"):
+            AtomSum(1, False, [1.0], [[1.0]], [0.0])
+        with pytest.raises(ValueError, match="torus flag"):
+            from_text("1 0 1\n1.0 1.0 0.0\n")
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -248,12 +248,6 @@ class TestValidation:
     def test_dimension_mismatch_in_add(self):
         s1 = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
         s2 = AtomSum.from_atoms([(1.0, (1.0, 0.0), 0.0)])
-        with pytest.raises(ValueError):
-            add(s1, s2)
-
-    def test_mode_mismatch_in_add(self):
-        s1 = AtomSum.from_atoms([(1.0, (1.0,), 0.0)], torus_mode=True)
-        s2 = AtomSum.from_atoms([(1.0, (1.0,), 0.0)], torus_mode=False)
         with pytest.raises(ValueError):
             add(s1, s2)
 
@@ -389,23 +383,12 @@ class TestTorusNorms:
         s = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
         assert math.isclose(h_minus1_norm_torus(s), 0.5, rel_tol=1e-15)
 
-    def test_torus_norm_rejected_in_plane_mode(self):
-        s = AtomSum.from_atoms([(1.0, (1.0,), 0.0)], torus_mode=False)
-        with pytest.raises(ValueError):
-            h1_norm_torus(s)
-
 
 class TestSerialization:
-    @pytest.mark.parametrize("seed,d,torus", [(50, 1, True), (51, 3, True), (52, 2, False)])
-    def test_round_trip_exact(self, seed, d, torus):
+    @pytest.mark.parametrize("seed,d", [(50, 1), (51, 3)])
+    def test_round_trip_exact(self, seed, d):
         rng = np.random.default_rng(seed)
-        if torus:
-            s = random_sum(rng, d, 17)
-        else:
-            s = AtomSum(
-                d, False,
-                rng.uniform(-1, 1, 17), rng.uniform(-2, 2, (17, d)), rng.uniform(0, TWO_PI, 17),
-            )
+        s = random_sum(rng, d, 17)
         assert from_text(to_text(s)) == s
 
     def test_header_carries_shape(self):

@@ -16,7 +16,8 @@ from cospde.calculus import (
     rebalance,
     second_derivative,
 )
-from conftest import random_sum, scalar_eval
+from cospde.problem import EllipticProblem
+from conftest import identity_problem, random_sum, scalar_eval
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,10 +27,9 @@ def phases_close(p1, p2, tol=1e-12):
     return min(diff, TWO_PI - diff) <= tol
 
 
-def identity_matrix(d, torus=True):
-    one = AtomSum.from_atoms([(1.0, (0.0,) * d, 0.0)], dimension=d, torus_mode=torus)
-    zero = AtomSum.zero(d, torus)
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+def operator(a_entries, c):
+    """A problem carrying A and c; apply_elliptic reads nothing else of it."""
+    return EllipticProblem(a_entries, c, AtomSum.zero(c.dimension), 1.0, 1.0)
 
 
 class TestProduct:
@@ -183,8 +183,7 @@ class TestPrecondition:
         rng = np.random.default_rng(80)
         s = random_sum(rng, 2, 10, max_freq=3)
         v = precondition(s)
-        one = AtomSum.from_atoms([(1.0, (0.0, 0.0), 0.0)])
-        back = apply_elliptic(identity_matrix(2), one, v)
+        back = apply_elliptic(identity_problem(2), v)
         pts = rng.uniform(0, TWO_PI, size=(200, 2))
         vb, vs = evaluate(back, pts), evaluate(s, pts)
         assert np.max(np.abs(vb - vs)) <= 1e-12 * max(1.0, float(np.max(np.abs(vs))))
@@ -200,33 +199,26 @@ class TestPrecondition:
 class TestApplyElliptic:
     def test_identity_coefficients_give_one_minus_laplacian(self):
         s = AtomSum.from_atoms([(1.0, (1.0, 2.0), 0.4)])
-        one = AtomSum.from_atoms([(1.0, (0.0, 0.0), 0.0)])
-        out = apply_elliptic(identity_matrix(2), one, s)
+        out = apply_elliptic(identity_problem(2), s)
         (atom,) = out.atoms
         assert atom.frequency == (1.0, 2.0)
         assert math.isclose(atom.amplitude, 6.0, rel_tol=1e-15)  # 1 + |w|^2
         assert phases_close(atom.phase, 0.4)
 
     def test_zero_input_maps_to_zero(self):
-        one = AtomSum.from_atoms([(1.0, (0.0,), 0.0)])
-        out = apply_elliptic(identity_matrix(1), one, AtomSum.zero(1))
+        out = apply_elliptic(identity_problem(1), AtomSum.zero(1))
         assert out.is_zero
 
-    def test_requires_symmetric_matrix(self):
-        d = 2
-        zero = AtomSum.zero(d)
-        one = AtomSum.from_atoms([(1.0, (0.0, 0.0), 0.0)])
-        off = AtomSum.from_atoms([(0.5, (1.0, 0.0), 0.0)])
-        bad = ((one, off), (zero, one))
-        with pytest.raises(ValueError):
-            apply_elliptic(bad, one, one)
+    def test_rejects_input_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            apply_elliptic(identity_problem(2), AtomSum.from_atoms([(1.0, (1.0,), 0.0)]))
 
     def test_variable_coefficients_match_finite_differences_1d(self):
         rng = np.random.default_rng(82)
         a11 = AtomSum.from_atoms([(2.0, (0.0,), 0.0), (1.0, (1.0,), 0.0)])  # 2 + cos x
         c = AtomSum.from_atoms([(1.0, (0.0,), 0.0), (0.3, (2.0,), 0.5)])
         u = random_sum(rng, 1, 8, max_freq=3)
-        out = apply_elliptic(((a11,),), c, u)
+        out = apply_elliptic(operator(((a11,),), c), u)
         h = 1e-4
         pts = rng.uniform(0, TWO_PI, size=(60, 1))
         for x in pts:
@@ -248,7 +240,7 @@ class TestApplyElliptic:
         a_mat = ((diag1, off), (off, diag2))
         c = AtomSum.from_atoms([(1.0, (0.0, 0.0), 0.0), (0.5, (1.0, 1.0), 0.0)])
         u = random_sum(rng, 2, 6, max_freq=2)
-        out = apply_elliptic(a_mat, c, u)
+        out = apply_elliptic(operator(a_mat, c), u)
         h = 1e-4
         ew = np.eye(2) * h
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import cospde.atoms as atoms
 import cospde.cli as cli
+import cospde.validate as validate
 from cospde.atoms import AtomSum, from_text
 from cospde.solver import LedgerViolationError
 
@@ -69,6 +71,28 @@ class TestSolve:
         for name in ("ledger.csv", "solution.atoms", "reference.atoms", "summary.txt"):
             assert read(a / name) == read(b / name), name
 
+    def test_summary_reports_oracle_statistics(self, tmp_path):
+        out = tmp_path / "d1"
+        assert cli.main(["solve", D1, "--out", str(out)]) == 0
+        summary = dict(
+            line.split(" ", 1) for line in (out / "summary.txt").read_text().splitlines()
+        )
+        assert int(summary["oracle_cg_iterations"]) >= 1
+        assert float(summary["oracle_residual"]) <= 1e-10
+
+    def test_summary_oracle_statistics_read_none_without_oracle(self, tmp_path):
+        problem = tmp_path / "d4.txt"
+        problem.write_text(
+            "dim 4\nlambda_min 1\nlambda_max 1\nepsilon 1e-2\n"
+            "c\n1 0 0 0 0 0\nend\nf\n1 1 0 0 0 0\nend\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(problem), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "oracle_cg_iterations none" in summary
+        assert "oracle_residual none" in summary
+        assert not (out / "reference.atoms").exists()
+
 
 class TestFailures:
     def test_parse_error_exit_2_and_marker(self, tmp_path):
@@ -79,6 +103,16 @@ class TestFailures:
         marker = (out / "FAILED").read_text()
         assert "parse error" in marker
         assert "line 3" in marker
+
+    def test_torus_directive_exit_2(self, tmp_path):
+        lines = Path(D1).read_text().splitlines()
+        plane = tmp_path / "plane.txt"
+        plane.write_text("\n".join(lines[:1] + ["torus 0"] + lines[1:]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(plane), "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "parse error" in marker
+        assert "line 2" in marker
 
     def test_missing_file_exit_2(self, tmp_path):
         out = tmp_path / "out"
@@ -213,3 +247,14 @@ class TestValidate:
         assert all(line.startswith("PASS") for line in report[:-1])
         assert report[-1].endswith("checks passed")
         assert read(a / "validation.txt") == read(b / "validation.txt")
+
+    def test_idempotence_check_catches_a_non_idempotent_merge(self, monkeypatch):
+        merge = atoms._merge
+
+        def drifting_merge(keys, amps, phases):
+            rows, merged, merged_phases = merge(keys, amps, phases)
+            return rows, 1.5 * merged, merged_phases
+
+        monkeypatch.setattr(atoms, "_merge", drifting_merge)
+        with pytest.raises(AssertionError, match="changed the sum"):
+            validate.check_canonical_idempotence()

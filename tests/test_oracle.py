@@ -43,11 +43,6 @@ class TestSpectralField:
         with pytest.raises(ValueError):
             SpectralField.from_atom_sum(s, truncation=3)
 
-    def test_plane_mode_rejected(self):
-        s = AtomSum.from_atoms([(1.0, (0.5,), 0.0)], torus_mode=False)
-        with pytest.raises(ValueError):
-            SpectralField.from_atom_sum(s, truncation=3)
-
 
 class TestGalerkinSolve:
     def test_identity_problem_is_exact(self):

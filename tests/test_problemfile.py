@@ -43,7 +43,6 @@ class TestParsing:
     def test_d1_round_trip(self):
         data = parse_problem_text(D1_TEXT)
         assert data.dimension == 1
-        assert data.torus is True
         assert data.epsilon == 1e-3
         p = build_problem(data)
         ref = d1_benchmark()
@@ -101,7 +100,7 @@ class TestParsing:
 
     def test_g_block_and_directives(self):
         text = (
-            "dim 2\nseed 7\nprune_budget 1e-4\ntorus 1\n"
+            "dim 2\nseed 7\nprune_budget 1e-4\n"
             "g\n1 1 0 0\n0.5 0 1 0.25\nend\n"
         )
         data = parse_problem_text(text)
@@ -194,13 +193,12 @@ class TestParseErrors:
     def test_directive_arity(self):
         self.expect("dim 1 2\n", 1, "one value")
 
+    @pytest.mark.parametrize("flag", ["0", "1"])
+    def test_torus_directive_rejected(self, flag):
+        self.expect(f"dim 1\ntorus {flag}\nc\n1 0 0\nend\n", 2, "torus")
+
 
 class TestBuildDetails:
-    def test_torus_zero_disables_fourier(self):
-        text = "dim 1\ntorus 0\nf_fourier\n1 0.5 0\nend\n"
-        with pytest.raises(ParseError, match="torus"):
-            parse_problem_text(text)
-
     def test_phase_and_negative_frequency_survive(self):
         text = "dim 2\ng\n0.75 -1 2 0.5\nend\n"
         g = parse_problem_text(text).g

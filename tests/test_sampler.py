@@ -117,7 +117,7 @@ class TestConversion:
         amps = np.array([ell, ell, ell, -ell])
         freqs = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
         phases = np.array([0.2, 0.2, 0.2, 0.9])
-        net = TwoLayerNet(2, True, amps, freqs, phases)
+        net = TwoLayerNet(2, amps, freqs, phases)
         assert h1_error_exact(net, g) == 0.0
 
 

@@ -304,21 +304,6 @@ class TestSolve:
             )
             assert ra.h1_error == rb.h1_error
 
-    def test_warm_start_at_solution_takes_no_steps(self):
-        p = identity_problem(2)
-        exact = AtomSum.from_atoms([(0.5, (1.0, 0.0), 0.0)])
-        result = solve(p, epsilon=1e-6, warm_start=exact)
-        assert result.steps_planned == 0
-        assert result.u == exact
-        assert result.initial_error <= 1e-15
-
-    def test_early_exit_stops_once_residual_is_small(self):
-        p = d1_benchmark()
-        full = solve(p, epsilon=1e-3, early_exit=False)
-        quick = solve(p, epsilon=1e-3, early_exit=True)
-        assert len(quick.state.ledger) <= len(full.state.ledger)
-        assert quick.final_h1_error <= 1e-3
-
     def test_pruning_error_within_accounted_budget(self):
         p = d1_benchmark()
         pruned = solve(p, epsilon=1e-3, prune_enabled=True)
