@@ -33,8 +33,8 @@ from .calculus import (
     second_derivative,
 )
 from .oracle import (
+    GalerkinReference,
     ProbeFailureError,
-    SpectralField,
     default_truncation,
     ellipticity_probe,
     fft_precondition_check,
@@ -85,6 +85,7 @@ __all__ = [
     "Atom",
     "AtomSum",
     "EllipticProblem",
+    "GalerkinReference",
     "IterationState",
     "LedgerRecord",
     "LedgerViolationError",
@@ -94,7 +95,6 @@ __all__ = [
     "RateStudyResult",
     "RebalancedMeasure",
     "SolveResult",
-    "SpectralField",
     "TwoLayerNet",
     "add",
     "apply_elliptic",

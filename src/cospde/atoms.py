@@ -27,9 +27,11 @@ Terms are sorted on every value they carry before anything is added, so the
 result does not depend on the input order, and a frequency with a single term
 keeps that term bit for bit, which makes canonicalization idempotent.
 
-Frequencies are integer vectors, so every sum is a trigonometric polynomial on
-the torus [0, 2*pi)^d under the normalized (mean) measure, and the Sobolev
-norms below are exact finite formulas.
+Frequencies are integer vectors, stored as int64: float input is checked for
+finiteness and integrality once, in `_canonicalize_arrays`, and cast there.
+Every sum is a trigonometric polynomial on the torus [0, 2*pi)^d under the
+normalized (mean) measure, and the Sobolev norms below are exact finite
+formulas.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ TWO_PI = 2.0 * math.pi
 # accumulated in exact multiples of pi/2 plus input phases, so genuinely equal
 # phases agree to well below this.
 PHASE_TOL = 1e-12
+
+# Bound on each frequency component given as a float (which also rejects
+# nan and inf), so that the cast to int64 is exact and squared frequency
+# norms stay exact integers.
+MAX_FREQUENCY = 2**24
 
 _EVAL_CHUNK = 65536
 
@@ -66,19 +73,23 @@ def _reduce_phases(phases: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def _frequency_keys(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign of the first nonzero component of each frequency row (0 for a zero
-    row) and an int64 rank of the row times its sign: rows equal up to sign
-    share a key, and keys order the sign-normalized rows lexicographically.
-    """
-    sign = np.sign(freqs[np.arange(len(freqs)), (freqs != 0.0).argmax(axis=1)])
-    normalized = freqs * sign[:, None]
-    order = np.lexsort(normalized.T[::-1])
-    ranked = normalized[order]
-    keys = np.empty(len(order), dtype=np.int64)
-    keys[order[0]] = 0
-    keys[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1).cumsum()
-    return sign, keys
+def _leading_sign(freqs: np.ndarray) -> np.ndarray:
+    """The half-space rule: the sign of the first nonzero component of each
+    frequency row (0 for a zero row).  w and -w are one cosine frequency, and
+    the canonical representative is the one with a positive sign."""
+    return np.sign(freqs[np.arange(len(freqs)), (freqs != 0).argmax(axis=1)])
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in lexicographic order, and the
+    index of each input row among them."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty(len(order), dtype=np.int64)
+    index[order] = first.cumsum() - 1
+    return ranked[first], index
 
 
 def _merge(keys: np.ndarray, amps: np.ndarray, phases: np.ndarray):
@@ -184,14 +195,17 @@ def _canonicalize_arrays(
     d: int, amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     amps = np.asarray(amps, dtype=np.float64).reshape(-1)
-    freqs = np.asarray(freqs, dtype=np.float64).reshape(-1, d)
+    freqs = np.asarray(freqs).reshape(-1, d)
     phases = np.asarray(phases, dtype=np.float64).reshape(-1)
     if freqs.shape[0] != amps.shape[0] or phases.shape[0] != amps.shape[0]:
         raise ValueError("amplitude, frequency, and phase counts disagree")
-    if not (np.isfinite(amps).all() and np.isfinite(freqs).all() and np.isfinite(phases).all()):
+    if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
         raise ValueError("atom data must be finite")
-    if not (freqs == np.round(freqs)).all():
-        raise ValueError("frequencies must be integer vectors")
+    if freqs.dtype != np.int64:
+        freqs = np.asarray(freqs, dtype=np.float64)
+        if not ((freqs == np.round(freqs)) & (np.abs(freqs) <= MAX_FREQUENCY)).all():
+            raise ValueError(f"frequencies must be integer vectors within +-{MAX_FREQUENCY}")
+        freqs = freqs.astype(np.int64)
 
     keep = amps != 0.0
     amps, freqs, phases = amps[keep], freqs[keep], phases[keep]
@@ -199,15 +213,17 @@ def _canonicalize_arrays(
         return amps, freqs, phases
 
     # cosine is even: (w, b) and (-w, -b) are one atom, and a zero-frequency
-    # atom is the constant a cos(b)
-    sign, keys = _frequency_keys(freqs)
-    constant = sign == 0.0
+    # atom is the constant a cos(b); rows equal up to sign share a key, and
+    # keys order the sign-normalized rows lexicographically
+    sign = _leading_sign(freqs)
+    _, keys = _distinct_rows(freqs * sign[:, None])
+    constant = sign == 0
     if constant.any():
         amps = np.where(constant, amps * np.cos(phases), amps)
     phases = _reduce_phases(phases * sign)
 
     rows, amps, phases = _merge(keys, amps, phases)
-    return amps, freqs[rows] * sign[rows, None] + 0.0, phases  # + 0.0 turns -0.0 into 0.0
+    return amps, freqs[rows] * sign[rows, None], phases
 
 
 class AtomSum:
@@ -218,7 +234,9 @@ class AtomSum:
     l1 mass sum(|a_i|) of the stored representation, an upper bound for the
     underlying function's atomic norm, never a claimed infimum.
     `support_radius` is the largest Euclidean frequency norm and
-    `support_radius_sq` its square, exact for integer frequencies.
+    `support_radius_sq` its square, an exact integer.  `frequencies` is an
+    int64 array: float frequencies given to the constructor are checked
+    (integers within +-MAX_FREQUENCY) and cast, int64 ones are taken as given.
     """
 
     __slots__ = ("_d", "_amps", "_freqs", "_phases", "_tracked", "_radius_sq", "_radius")
@@ -251,7 +269,7 @@ class AtomSum:
         """Internal: wrap arrays already known to be canonical."""
         obj = cls.__new__(cls)
         obj._finalize(d, np.ascontiguousarray(amps, dtype=np.float64),
-                      np.ascontiguousarray(freqs, dtype=np.float64),
+                      np.ascontiguousarray(freqs, dtype=np.int64),
                       np.ascontiguousarray(phases, dtype=np.float64))
         return obj
 
@@ -430,11 +448,18 @@ def evaluate(s: AtomSum, points) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _torus_weights(s: AtomSum) -> tuple[np.ndarray, np.ndarray]:
+def _torus_weights(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean-measure mode weights mu_w and exact squared frequency norms."""
-    wsq = np.einsum("ij,ij->i", s.frequencies, s.frequencies)
-    mu = np.where(wsq == 0.0, 1.0, 0.5)
+    wsq = np.einsum("ij,ij->i", freqs, freqs)
+    mu = np.where(wsq == 0, 1.0, 0.5)
     return mu, wsq
+
+
+def _h1_terms(freqs: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Per-frequency squared H1 contributions mu_w * a_w^2 * (1 + |w|^2), for
+    the squared amplitude a_w^2 = C^2 + S^2 of each frequency's cosine."""
+    mu, wsq = _torus_weights(freqs)
+    return mu * squares * (1.0 + wsq)
 
 
 def h1_norm_torus(s: AtomSum) -> float:
@@ -446,15 +471,14 @@ def h1_norm_torus(s: AtomSum) -> float:
     """
     if s.is_zero:
         return 0.0
-    mu, wsq = _torus_weights(s)
-    return math.sqrt(math.fsum(mu * s.amplitudes**2 * (1.0 + wsq)))
+    return math.sqrt(math.fsum(_h1_terms(s.frequencies, s.amplitudes**2)))
 
 
 def h_minus1_norm_torus(s: AtomSum) -> float:
     """Exact H^-1 norm on the torus: sqrt(sum_w mu_w * a_w^2 / (1 + |w|^2))."""
     if s.is_zero:
         return 0.0
-    mu, wsq = _torus_weights(s)
+    mu, wsq = _torus_weights(s.frequencies)
     return math.sqrt(math.fsum(mu * s.amplitudes**2 / (1.0 + wsq)))
 
 
@@ -462,7 +486,7 @@ def l2_norm_torus(s: AtomSum) -> float:
     """Exact L2 norm on the torus under the normalized measure."""
     if s.is_zero:
         return 0.0
-    mu, _ = _torus_weights(s)
+    mu, _ = _torus_weights(s.frequencies)
     return math.sqrt(math.fsum(mu * s.amplitudes**2))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import TWO_PI, AtomSum, scale, sum_many
+from .atoms import TWO_PI, AtomSum, _leading_sign, scale, sum_many
 
 HALF_PI = math.pi / 2
 
@@ -151,13 +151,13 @@ def from_fourier_data(coefficients, dimension: int) -> AtomSum:
         kv = np.atleast_1d(np.asarray(k, dtype=np.float64))
         if kv.shape != (dimension,):
             raise ValueError(f"frequency {k!r} does not have dimension {dimension}")
-        nz = np.nonzero(kv)[0]
-        key = tuple(-kv) if len(nz) and kv[nz[0]] < 0 else tuple(kv)
+        sign = _leading_sign(kv[None, :])[0]
+        key = tuple(kv * sign)
         if key in seen:
             raise ValueError(f"duplicate conjugate-pair representative for frequency {key}")
         seen.add(key)
         cval = complex(cval)
-        if len(nz) == 0:
+        if sign == 0:
             triples.append((cval.real, tuple(kv), 0.0))
         else:
             triples.append((2.0 * abs(cval), tuple(kv), math.atan2(cval.imag, cval.real) % TWO_PI))

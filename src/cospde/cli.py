@@ -119,7 +119,7 @@ def cmd_solve(args, out):
     _write_lines(out / "solution.atoms", to_text(result.u).splitlines())
     reference = result.reference
     if reference is not None:
-        _write_lines(out / "reference.atoms", to_text(reference.to_atom_sum()).splitlines())
+        _write_lines(out / "reference.atoms", to_text(reference.u).splitlines())
 
     final = result.state.ledger[-1]
     a_min, a_max, c_min, c_max = result.probe_estimates

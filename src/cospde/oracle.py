@@ -8,12 +8,14 @@ ellipticity bounds.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .atoms import AtomSum, add, evaluate, scale
+from .atoms import (AtomSum, _distinct_rows, _h1_terms, _leading_sign, add, evaluate,
+                    l2_norm_torus, scale)
 from .calculus import apply_elliptic, precondition
 
 TWO_PI = 2.0 * math.pi
@@ -56,72 +58,14 @@ def _cos_sin(amplitudes, phases):
     return amplitudes * cos_b, -amplitudes * sin_b
 
 
-def _integer_frequencies(s):
-    return np.rint(s.frequencies).astype(np.int64)
+@dataclass(frozen=True)
+class GalerkinReference:
+    """A Galerkin reference solution `u` with the number of CG iterations
+    that produced it and the L2 residual of its truncated equation."""
 
-
-def _group_rows(keys):
-    """Distinct rows of an integer array in lexicographic order, and the
-    position of each input row among them."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
-def _h1_squares(keys, cos_sin):
-    """Per-frequency squared H1 contributions mu_k (C^2 + S^2) (1 + |k|^2)."""
-    ksq = np.einsum("ij,ij->i", keys, keys).astype(np.float64)
-    weight = np.where(ksq == 0.0, 1.0, 0.5)
-    return weight * (cos_sin[:, 0] ** 2 + cos_sin[:, 1] ** 2) * (1.0 + ksq)
-
-
-class SpectralField:
-    """Truncated Fourier series: cosine/sine amplitude per half-space frequency.
-
-    Frequencies are integer vectors in canonical form (first nonzero
-    component positive); `truncation` caps the max-norm of every stored
-    frequency.  `keys` and `coeffs` hold the entries of `table` as arrays,
-    built once at construction.  `residual` and `cg_iterations` are attached
-    by galerkin_solve.
-    """
-
-    __slots__ = ("dimension", "truncation", "table", "keys", "coeffs", "residual",
-                 "cg_iterations")
-
-    def __init__(self, dimension, truncation, table, residual=None):
-        self.dimension = int(dimension)
-        self.truncation = int(truncation)
-        self.table = dict(table)
-        self.residual = residual
-        self.cg_iterations = None
-        for key in self.table:
-            if len(key) != self.dimension:
-                raise ValueError(f"frequency {key} has wrong dimension")
-        self.keys = np.array(list(self.table), dtype=np.int64).reshape(-1, self.dimension)
-        self.coeffs = np.array(list(self.table.values()), dtype=np.float64).reshape(-1, 2)
-        if self.keys.size and np.max(np.abs(self.keys)) > self.truncation:
-            worst = tuple(self.keys[np.argmax(np.max(np.abs(self.keys), axis=1))].tolist())
-            raise ValueError(f"frequency {worst} outside truncation {truncation}")
-
-    @classmethod
-    def from_atom_sum(cls, s, truncation):
-        keys = _integer_frequencies(s)
-        cv, sv = _cos_sin(s.amplitudes, s.phases)
-        table = zip(map(tuple, keys.tolist()), zip(cv.tolist(), sv.tolist()))
-        return cls(s.dimension, truncation, table)
-
-    def to_atom_sum(self):
-        cv, sv = self.coeffs[:, 0], self.coeffs[:, 1]
-        constant = ~np.any(self.keys != 0, axis=1)
-        amps = np.where(constant, cv, np.hypot(cv, sv))
-        phases = np.where(constant, 0.0, np.mod(np.arctan2(-sv, cv), TWO_PI))
-        return AtomSum(self.dimension, True, amps, self.keys.astype(np.float64), phases)
-
-    def h1_norm(self):
-        return math.sqrt(math.fsum(_h1_squares(self.keys, self.coeffs)))
+    u: AtomSum
+    cg_iterations: int
+    residual: float
 
 
 def default_truncation(p, steps):
@@ -136,10 +80,9 @@ def _fourier_coefficients(s):
     halves of a constant atom land on m = 0 and add back to a.  Terms are
     not merged: the sum at equal m is left to the caller's scatter.
     """
-    keys = _integer_frequencies(s)
     cv, sv = _cos_sin(0.5 * s.amplitudes, s.phases)
     half = cv - 1j * sv
-    return np.concatenate([keys, -keys]), np.concatenate([half, np.conj(half)])
+    return np.concatenate([s.frequencies, -s.frequencies]), np.concatenate([half, np.conj(half)])
 
 
 def galerkin_system(p, truncation):
@@ -170,7 +113,7 @@ def galerkin_system(p, truncation):
     rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     vals = [np.zeros(0, np.complex128)]
     if shifts:
-        unique, inverse = _group_rows(np.concatenate(shifts))
+        unique, inverse = _distinct_rows(np.concatenate(shifts))
         table = np.zeros((len(unique), 1 + len(pairs)), dtype=np.complex128)
         np.add.at(table, (inverse, np.concatenate(slots)), np.concatenate(coeffs))
         for m, entry in zip(unique, table):
@@ -203,10 +146,10 @@ def galerkin_solve(p, truncation):
 
     The system is assembled exactly from the Fourier coefficients of the
     atom data and solved by conjugate gradients preconditioned with the
-    diagonal 1/(1 + |k|^2).  The returned field carries the number of CG
-    iterations and the L2 residual of the truncated equation computed
-    through the atom algebra (apply_elliptic), which checks the Fourier
-    assembly independently.
+    diagonal 1/(1 + |k|^2).  The returned reference holds the solution as
+    an atom sum, the number of CG iterations, and the L2 residual of the
+    truncated equation computed through the atom algebra (apply_elliptic),
+    which checks the Fourier assembly independently.
     """
     truncation = int(truncation)
     if truncation < 1:
@@ -241,46 +184,35 @@ def galerkin_solve(p, truncation):
     centre = len(solution) // 2
     cos_part[centre] = solution[centre].real
     sin_part[centre] = 0.0
-    nonzero = freqs != 0
-    leading = freqs[np.arange(len(freqs)), np.argmax(nonzero, axis=1)]
-    half = leading >= 0
-    table = zip(map(tuple, freqs[half].tolist()),
-                zip(cos_part[half].tolist(), sin_part[half].tolist()))
-
-    field = SpectralField(p.dimension, truncation, table)
-    field.cg_iterations = iterations
-    field.residual = _truncated_l2_residual(p, field)
-    return field
+    half = _leading_sign(freqs) >= 0
+    cv, sv = cos_part[half], sin_part[half]
+    u = AtomSum(p.dimension, True, np.hypot(cv, sv), freqs[half], np.arctan2(-sv, cv))
+    return GalerkinReference(u, iterations, _truncated_l2_residual(p, u, truncation))
 
 
-def _truncated_l2_residual(p, field):
-    image = apply_elliptic(p, field.to_atom_sum())
-    diff = add(image, scale(p.f, -1.0))
-    keys = _integer_frequencies(diff)
-    inside = np.max(np.abs(keys), axis=1, initial=0) <= field.truncation
-    a = diff.amplitudes[inside]
-    weight = np.where(np.any(keys[inside] != 0, axis=1), 0.5, 1.0)
-    return math.sqrt(math.fsum(weight * a * a))
+def _truncated_l2_residual(p, u, truncation):
+    """L2 norm of the part of L u - f inside the box |k|_inf <= truncation."""
+    diff = add(apply_elliptic(p, u), scale(p.f, -1.0))
+    inside = np.max(np.abs(diff.frequencies), axis=1, initial=0) <= truncation
+    return l2_norm_torus(AtomSum._trusted(p.dimension, diff.amplitudes[inside],
+                                          diff.frequencies[inside], diff.phases[inside]))
 
 
-def h1_distance(u, ref):
-    """Exact H1 norm of u minus the reference, coefficient by coefficient.
+def h1_distance(u, v):
+    """Exact H1 norm of u - v, coefficient by coefficient.
 
-    Frequencies of u outside the reference truncation contribute their
-    full weight to the difference.
+    Each canonical sum holds a frequency at most once, so the difference is
+    taken on matched (cos, sin) coefficients without merging atoms (a merge
+    joins phases within PHASE_TOL, which is not exact).  Frequencies held by
+    only one of the sums contribute their full weight.
     """
-    if u.dimension != ref.dimension:
+    if u.dimension != v.dimension:
         raise ValueError("dimension mismatch")
-    keys = np.concatenate([ref.keys, _integer_frequencies(u)])
-    unique, inverse = _group_rows(keys)
-    # both key sets are canonical, so each holds a frequency at most once
-    diff = np.zeros((len(unique), 2))
-    diff[inverse[: len(ref.keys)]] = -ref.coeffs
-    cv, sv = _cos_sin(u.amplitudes, u.phases)
-    at_u = inverse[len(ref.keys):]
-    diff[at_u, 0] += cv
-    diff[at_u, 1] += sv
-    return math.sqrt(math.fsum(_h1_squares(unique, diff)))
+    distinct, index = _distinct_rows(np.concatenate([v.frequencies, u.frequencies]))
+    diff = np.zeros((len(distinct), 2))
+    diff[index[: len(v)]] = -np.column_stack(_cos_sin(v.amplitudes, v.phases))
+    diff[index[len(v):]] += np.column_stack(_cos_sin(u.amplitudes, u.phases))
+    return math.sqrt(math.fsum(_h1_terms(distinct, diff[:, 0] ** 2 + diff[:, 1] ** 2)))
 
 
 def _dense_grid(dimension, points_per_axis):
@@ -301,7 +233,7 @@ def fft_precondition_check(s, grid_points_per_axis):
 
     pts = _dense_grid(d, n)
     values = evaluate(s, pts).reshape((n,) * d)
-    k_axis = np.rint(np.fft.fftfreq(n) * n)
+    k_axis = (np.arange(n) + n // 2) % n - n // 2  # np.fft.fftfreq(n) * n, in integers
     k_mesh = np.meshgrid(*([k_axis] * d), indexing="ij")
     multiplier = 1.0 / (1.0 + sum(k * k for k in k_mesh))
     filtered = np.fft.ifftn(np.fft.fftn(values) * multiplier).real

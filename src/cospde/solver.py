@@ -15,7 +15,8 @@ import numpy as np
 
 from .atoms import AtomSum, add, h1_norm_torus, prune, scale
 from .calculus import apply_elliptic, precondition
-from .oracle import default_truncation, ellipticity_probe, galerkin_solve, h1_distance
+from .oracle import (GalerkinReference, default_truncation, ellipticity_probe, galerkin_solve,
+                     h1_distance)
 
 
 class LedgerViolationError(RuntimeError):
@@ -60,18 +61,17 @@ def cosine_ledger_bound(p, alpha, norm_t):
     return growth_factor(p, alpha) * norm_t + alpha * p.ell_f
 
 
-def main_theorem_predictor(p, epsilon):
-    """Planned (T, radius bound, tracked-norm bound) for a solve at epsilon.
+def _plan(p, epsilon):
+    """(T, radius bound, tracked-norm bound) of a solve at epsilon.
 
-    Mirrors solve(): T targets epsilon/2, leaving the other half for
-    pruning.  The norm bound iterates the growth recursion Y_{t+1} =
-    q Y_t + alpha ell_f from Y_0 = 0, which telescopes to the closed
-    geometric form alpha*ell_f*(q^T - 1)/(q - 1); the recursion is used
-    so the prediction is the bitwise same value the ledger accumulates.
+    T targets epsilon/2, leaving the other half for pruning.  The radius
+    bound sqrt(R^2 T^2) is the square root of an exact integer, correctly
+    rounded, so it orders like the exact radius ledger.  The norm bound
+    iterates the growth recursion Y_{t+1} = q Y_t + alpha ell_f from
+    Y_0 = 0, which telescopes to the closed geometric form
+    alpha*ell_f*(q^T - 1)/(q - 1); the recursion is used so the prediction
+    is the bitwise same value the ledger accumulates.
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
     alpha, _ = optimal_step(p.lam_min, p.lam_max)
     steps = iteration_count_bound(
         p.lam_min, p.lam_max, p.initial_error_bound(), 0.5 * epsilon
@@ -80,7 +80,16 @@ def main_theorem_predictor(p, epsilon):
     y = 0.0
     for _ in range(steps):
         y = q * y + alpha * p.ell_f
-    return steps, p.coeff_radius * steps, y
+    return steps, math.sqrt(p.coeff_radius_sq * steps * steps), y
+
+
+def main_theorem_predictor(p, epsilon):
+    """Planned (T, radius bound, tracked-norm bound) for a solve at epsilon,
+    the same plan solve() makes."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    return _plan(p, epsilon)
 
 
 @dataclass
@@ -159,7 +168,7 @@ def _budget_threshold(s, budget):
     return float(amps[count])
 
 
-def step(p, state, alpha, prune_threshold=0.0, prune_mass_budget=None):
+def step(p, state, alpha, prune_mass_budget=None):
     """Advance one iteration, appending a ledger row and asserting its bounds."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:
@@ -180,9 +189,7 @@ def step(p, state, alpha, prune_threshold=0.0, prune_mass_budget=None):
             f"recursion bound {bound!r}"
         )
 
-    threshold = float(prune_threshold)
-    if prune_mass_budget is not None:
-        threshold = max(threshold, _budget_threshold(u_next, prune_mass_budget))
+    threshold = 0.0 if prune_mass_budget is None else _budget_threshold(u_next, prune_mass_budget)
     dropped = 0.0
     if threshold > 0.0 and u_next.atom_count:
         pre_radius = u_next.support_radius
@@ -236,7 +243,7 @@ class SolveResult:
     predicted_norm: float
     predicted_radius: float
     probe_estimates: tuple
-    reference: object = None
+    reference: Optional[GalerkinReference] = None
     final_h1_error: Optional[float] = None
 
 
@@ -259,8 +266,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None,
     if compare_oracle is None:
         compare_oracle = p.dimension <= 3
 
-    initial_error = p.initial_error_bound()
-    steps = iteration_count_bound(p.lam_min, p.lam_max, initial_error, 0.5 * epsilon)
+    steps, predicted_radius, predicted_norm = _plan(p, epsilon)
     reference = None
     if compare_oracle:
         truncation = (
@@ -271,14 +277,8 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None,
         reference = galerkin_solve(p, truncation)
 
     state = initial_state(p)
-    q = growth_factor(p, alpha)
-    y = 0.0
-    for _ in range(steps):
-        y = q * y + alpha * p.ell_f
-    predicted_norm = y
-    predicted_radius = p.coeff_radius * steps
     if reference is not None:
-        state.ledger[0].h1_error = h1_distance(state.u, reference)
+        state.ledger[0].h1_error = h1_distance(state.u, reference.u)
 
     total_budget = 0.5 * epsilon if prune_budget is None else float(prune_budget)
     per_step_budget = None
@@ -288,7 +288,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None,
     for _ in range(steps):
         step(p, state, alpha, prune_mass_budget=per_step_budget)
         if reference is not None:
-            state.ledger[-1].h1_error = h1_distance(state.u, reference)
+            state.ledger[-1].h1_error = h1_distance(state.u, reference.u)
 
     state.ledger[-1].residual_estimate = _residual_norm(p, state.u)
 
@@ -310,7 +310,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None,
         steps_planned=steps,
         alpha=alpha,
         contraction=contraction,
-        initial_error=initial_error,
+        initial_error=p.initial_error_bound(),
         epsilon=epsilon,
         predicted_norm=predicted_norm,
         predicted_radius=predicted_radius,

@@ -154,8 +154,7 @@ def check_galerkin_identity():
         1.0,
         1.0,
     )
-    field = galerkin_solve(p, 4)
-    u = field.to_atom_sum()
+    u = galerkin_solve(p, 4).u
     expected = AtomSum.from_atoms([(0.5, (1.0, 0.0), 0.0)], dimension=2)
     if u != expected:
         raise AssertionError(f"got {u!r}")

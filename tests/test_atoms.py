@@ -18,6 +18,7 @@ from cospde.atoms import (
     sum_many,
     to_text,
 )
+from cospde.calculus import partial_derivative, precondition, product, second_derivative
 from conftest import h1_norm_quadrature, random_sum, scalar_eval
 
 TWO_PI = 2.0 * math.pi
@@ -244,6 +245,34 @@ class TestValidation:
             AtomSum.from_atoms([(math.nan, (1.0,), 0.0)])
         with pytest.raises(ValueError):
             AtomSum.from_atoms([(1.0, (1.0,), math.inf)])
+
+    def test_rejects_frequency_beyond_int64_bound(self):
+        with pytest.raises(ValueError, match="integer vectors"):
+            AtomSum.from_atoms([(1.0, (2.0**24 + 1.0,), 0.0)])
+        with pytest.raises(ValueError, match="integer vectors"):
+            AtomSum.from_atoms([(1.0, (math.inf,), 0.0)])
+        assert AtomSum.from_atoms([(1.0, (2.0**24,), 0.0)]).frequencies[0, 0] == 2**24
+
+    def test_frequencies_are_int64_on_every_construction_path(self):
+        s = AtomSum(2, True, [1.0, 0.5, 2.0], [[1.0, -2.0], [0.0, 0.0], [-3.0, 1.0]],
+                    [0.3, 0.0, 1.1])
+        t = AtomSum.from_atoms([(0.7, (2.0, 1.0), 0.4)])
+        built = {
+            "constructor": s,
+            "int32 input": AtomSum(1, True, [1.0], np.array([[3]], dtype=np.int32), [0.0]),
+            "zero": AtomSum.zero(2),
+            "from_text": from_text(to_text(s)),
+            "product": product(s, t),
+            "partial_derivative": partial_derivative(s, 0),
+            "second_derivative": second_derivative(s, 0, 1),
+            "precondition": precondition(s),
+            "scale": scale(s, -2.0),
+            "prune": prune(s, 0.8)[0],
+            "sum_many": sum_many([s, t, s]),
+        }
+        for path, result in built.items():
+            assert result.frequencies.dtype == np.int64, path
+        assert to_text(s).splitlines()[1] == "0.5 0.0 0.0 0.0"
 
     def test_dimension_mismatch_in_add(self):
         s1 = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])

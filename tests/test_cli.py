@@ -94,6 +94,25 @@ class TestSolve:
         assert not (out / "reference.atoms").exists()
 
 
+    def test_collinear_final_radius_prints_within_prediction(self, tmp_path):
+        # A = 2I, c = 2 + cos(x1 + x2 + x3)/4, f = cos(x1 + x2 + x3): the
+        # final radius is exactly the predicted one, sqrt(3) * T, and the
+        # printed values must order the same way
+        problem = tmp_path / "collinear.txt"
+        problem.write_text(
+            "dim 3\nlambda_min 1.75\nlambda_max 2.25\nepsilon 1e-8\n"
+            "A 1 1\n2 0 0 0 0\nend\nA 2 2\n2 0 0 0 0\nend\nA 3 3\n2 0 0 0 0\nend\n"
+            "c\n2 0 0 0 0\n0.25 1 1 1 0\nend\nf\n1 1 1 1 0\nend\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(problem), "--out", str(out), "--no-prune"]) == 0
+        summary = dict(
+            line.split(" ", 1) for line in (out / "summary.txt").read_text().splitlines()
+        )
+        assert int(summary["steps_run"]) >= 5
+        assert float(summary["final_support_radius"]) <= float(summary["predicted_radius"])
+
+
 class TestFailures:
     def test_parse_error_exit_2_and_marker(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cospde.atoms import AtomSum, add, evaluate, h1_norm_torus, scale
+from cospde.atoms import AtomSum, add, h1_norm_torus, scale
 from cospde.oracle import (
+    GalerkinReference,
     ProbeFailureError,
-    SpectralField,
     default_truncation,
     ellipticity_probe,
     fft_precondition_check,
@@ -22,48 +22,36 @@ from cospde.solver import solve
 from conftest import d1_benchmark, d2_benchmark, identity_problem, random_sum
 
 
-class TestSpectralField:
-    def test_round_trip_matches_pointwise(self):
-        rng = np.random.default_rng(100)
-        s = random_sum(rng, 2, 12, max_freq=3)
-        field = SpectralField.from_atom_sum(s, truncation=3)
-        back = field.to_atom_sum()
-        pts = rng.uniform(0, 2 * math.pi, size=(200, 2))
-        va, vb = evaluate(s, pts), evaluate(back, pts)
-        assert np.max(np.abs(va - vb)) <= 1e-13 * max(1.0, float(np.max(np.abs(va))))
+def cos_sin_table(s):
+    """{frequency: (a cos b, -a sin b)}: the cos(k.x) and sin(k.x) coefficients."""
+    return {
+        tuple(int(x) for x in w): (a * math.cos(b), -a * math.sin(b))
+        for a, w, b in zip(s.amplitudes, s.frequencies, s.phases)
+    }
 
-    def test_h1_norm_matches_atom_side(self):
-        rng = np.random.default_rng(101)
-        s = random_sum(rng, 2, 10, max_freq=2)
-        field = SpectralField.from_atom_sum(s, truncation=2)
-        assert math.isclose(field.h1_norm(), h1_norm_torus(s), rel_tol=1e-12)
 
-    def test_truncation_enforced(self):
-        s = AtomSum.from_atoms([(1.0, (4.0,), 0.0)])
-        with pytest.raises(ValueError):
-            SpectralField.from_atom_sum(s, truncation=3)
+def max_sine_coefficient(s):
+    return float(np.max(np.abs(s.amplitudes * np.sin(s.phases)), initial=0.0))
 
 
 class TestGalerkinSolve:
     def test_identity_problem_is_exact(self):
         ref = galerkin_solve(identity_problem(2), truncation=3)
-        assert ref.table[(1, 0)] == (0.5, 0.0)
-        others = [v for k, v in ref.table.items() if k != (1, 0)]
-        assert max(abs(cv) + abs(sv) for cv, sv in others) == 0.0
-        assert ref.residual <= 1e-14
+        assert isinstance(ref, GalerkinReference)
         expected = AtomSum.from_atoms([(0.5, (1.0, 0.0), 0.0)])
-        assert h1_distance(expected, ref) <= 1e-14
+        assert ref.u == expected  # every other box coefficient is exactly 0
+        assert ref.residual <= 1e-14
+        assert h1_distance(expected, ref.u) <= 1e-14
 
     def test_d1_truncation_convergence(self):
         p = d1_benchmark()
         coarse = galerkin_solve(p, truncation=32)
         fine = galerkin_solve(p, truncation=64)
-        assert h1_distance(coarse.to_atom_sum(), fine) <= 1e-10
+        assert h1_distance(coarse.u, fine.u) <= 1e-10
 
     def test_even_problem_has_no_sine_components(self):
         ref = galerkin_solve(d1_benchmark(), truncation=24)
-        worst = max(abs(sv) for _, sv in ref.table.values())
-        assert worst <= 1e-12
+        assert max_sine_coefficient(ref.u) <= 1e-12
 
     def test_residual_small_relative_to_f(self):
         for p, k in ((d1_benchmark(), 24), (d2_benchmark(), 12)):
@@ -91,11 +79,12 @@ class TestGalerkinSolve:
              (constant_sum(2, 0.5), constant_sum(2, 1.0)))
         f = random_sum(np.random.default_rng(130), 2, 12, max_freq=3)
         p = EllipticProblem(a, constant_sum(2, 1.5), f, 0.5, 2.5)
-        ref = galerkin_solve(p, truncation=4)
-        expected = SpectralField.from_atom_sum(f, truncation=4).table
-        for key, (cv, sv) in ref.table.items():
+        ref = cos_sin_table(galerkin_solve(p, truncation=4).u)
+        expected = cos_sin_table(f)
+        for key in ref.keys() | expected.keys():
             k = np.array(key, dtype=float)
             symbol = 2.0 * k[0] ** 2 + 2 * 0.5 * k[0] * k[1] + k[1] ** 2 + 1.5
+            cv, sv = ref.get(key, (0.0, 0.0))
             fc, fs = expected.get(key, (0.0, 0.0))
             assert abs(cv - fc / symbol) <= 1e-14
             assert abs(sv - fs / symbol) <= 1e-14
@@ -122,9 +111,9 @@ class TestGalerkinSolve:
         p = EllipticProblem(family.a_entries, c, family.f, 0.5, 1.5)
         ref = galerkin_solve(p, truncation=5)  # 11^4 = 14641 unknowns
         assert ref.residual <= 1e-12
-        assert max(abs(sv) for _, sv in ref.table.values()) <= 1e-12
+        assert max_sine_coefficient(ref.u) <= 1e-12
         result = solve(p, 1e-2, prune_enabled=False, compare_oracle=False)
-        assert h1_distance(result.u, ref) <= 1e-2
+        assert h1_distance(result.u, ref.u) <= 1e-2
 
     def test_default_truncation_covers_iterates(self):
         p = d2_benchmark()
@@ -136,24 +125,32 @@ class TestGalerkinSolve:
 class TestH1Distance:
     def test_zero_for_field_converted_back(self):
         ref = galerkin_solve(d1_benchmark(), truncation=16)
-        assert h1_distance(ref.to_atom_sum(), ref) <= 1e-15
+        assert h1_distance(ref.u, ref.u) == 0.0
 
     def test_single_extra_mode_closed_form(self):
         ref = galerkin_solve(identity_problem(2), truncation=3)
-        u = add(ref.to_atom_sum(), AtomSum.from_atoms([(1e-3, (2.0, 1.0), 0.0)]))
+        u = add(ref.u, AtomSum.from_atoms([(1e-3, (2.0, 1.0), 0.0)]))
         expected = 1e-3 * math.sqrt((1.0 + 5.0) / 2.0)
-        assert math.isclose(h1_distance(u, ref), expected, rel_tol=1e-12)
+        assert math.isclose(h1_distance(u, ref.u), expected, rel_tol=1e-12)
 
     def test_agrees_with_atom_norm_of_difference(self):
         rng = np.random.default_rng(110)
         u = random_sum(rng, 2, 14, max_freq=4)
         v = random_sum(rng, 2, 9, max_freq=2)
-        field = SpectralField.from_atom_sum(v, truncation=2)
         direct = h1_norm_torus(add(u, scale(v, -1.0)))
-        assert math.isclose(h1_distance(u, field), direct, rel_tol=1e-12)
+        assert math.isclose(h1_distance(u, v), direct, rel_tol=1e-12)
+        assert h1_distance(v, u) == h1_distance(u, v)
+
+    def test_phases_within_merge_tolerance_still_differ(self):
+        # a merge would join the two phases (PHASE_TOL = 1e-12) and cancel
+        # them to zero; the coefficient difference keeps the 1e-13 gap
+        u = AtomSum.from_atoms([(1.0, (1.0,), 0.5)])
+        v = AtomSum.from_atoms([(1.0, (1.0,), 0.5 + 1e-13)])
+        assert add(u, scale(v, -1.0)).is_zero
+        assert math.isclose(h1_distance(u, v), 1e-13, rel_tol=1e-2)
 
     def test_excess_frequencies_count_fully(self):
-        ref = SpectralField(1, 2, {(1,): (1.0, 0.0)})
+        ref = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
         u = AtomSum.from_atoms([(1.0, (5.0,), 0.0)])
         # difference is cos(5x) - cos(x): norms add in quadrature
         expected = math.sqrt(0.5 * 26.0 + 0.5 * 2.0)

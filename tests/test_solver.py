@@ -165,7 +165,7 @@ class TestStep:
 
     def test_per_step_error_ratio_below_contraction_factor(self):
         p = d1_benchmark()
-        ref = galerkin_solve(p, truncation=48)
+        ref = galerkin_solve(p, truncation=48).u
         alpha, factor = optimal_step(p.lam_min, p.lam_max)
         state = initial_state(p)
         errors = [h1_distance(state.u, ref)]
