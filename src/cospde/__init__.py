@@ -25,7 +25,6 @@ from .calculus import (
     RebalancedMeasure,
     apply_elliptic,
     from_fourier_data,
-    general_norm_bound,
     partial_derivative,
     precondition,
     product,
@@ -110,7 +109,6 @@ __all__ = [
     "from_fourier_data",
     "from_text",
     "galerkin_solve",
-    "general_norm_bound",
     "green1d_check",
     "growth_factor",
     "h1_distance",

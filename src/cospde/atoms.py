@@ -27,8 +27,9 @@ Terms are sorted on every value they carry before anything is added, so the
 result does not depend on the input order, and a frequency with a single term
 keeps that term bit for bit, which makes canonicalization idempotent.
 
-Frequencies are integer vectors, stored as int64: float input is checked for
-finiteness and integrality once, in `_canonicalize_arrays`, and cast there.
+Frequencies are integer vectors, stored as int64: input is checked once, in
+`_canonicalize_arrays`, against MAX_FREQUENCY (float input also for
+finiteness and integrality) and cast there.
 Every sum is a trigonometric polynomial on the torus [0, 2*pi)^d under the
 normalized (mean) measure, and the Sobolev norms below are exact finite
 formulas.
@@ -49,9 +50,9 @@ TWO_PI = 2.0 * math.pi
 # phases agree to well below this.
 PHASE_TOL = 1e-12
 
-# Bound on each frequency component given as a float (which also rejects
-# nan and inf), so that the cast to int64 is exact and squared frequency
-# norms stay exact integers.
+# Bound on each frequency component, checked on every construction outside
+# `AtomSum._trusted` (for float input it also rejects nan and inf), so that
+# the cast to int64 is exact and squared frequency norms stay exact integers.
 MAX_FREQUENCY = 2**24
 
 _EVAL_CHUNK = 65536
@@ -201,11 +202,15 @@ def _canonicalize_arrays(
         raise ValueError("amplitude, frequency, and phase counts disagree")
     if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
         raise ValueError("atom data must be finite")
-    if freqs.dtype != np.int64:
+    if freqs.dtype == np.int64:
+        # min and max rather than abs: abs(-2**63) overflows to itself
+        within = freqs.size == 0 or -MAX_FREQUENCY <= freqs.min() and freqs.max() <= MAX_FREQUENCY
+    else:
         freqs = np.asarray(freqs, dtype=np.float64)
-        if not ((freqs == np.round(freqs)) & (np.abs(freqs) <= MAX_FREQUENCY)).all():
-            raise ValueError(f"frequencies must be integer vectors within +-{MAX_FREQUENCY}")
-        freqs = freqs.astype(np.int64)
+        within = ((freqs == np.round(freqs)) & (np.abs(freqs) <= MAX_FREQUENCY)).all()
+    if not within:
+        raise ValueError(f"frequencies must be integer vectors within +-{MAX_FREQUENCY}")
+    freqs = freqs.astype(np.int64, copy=False)
 
     keep = amps != 0.0
     amps, freqs, phases = amps[keep], freqs[keep], phases[keep]
@@ -235,8 +240,8 @@ class AtomSum:
     underlying function's atomic norm, never a claimed infimum.
     `support_radius` is the largest Euclidean frequency norm and
     `support_radius_sq` its square, an exact integer.  `frequencies` is an
-    int64 array: float frequencies given to the constructor are checked
-    (integers within +-MAX_FREQUENCY) and cast, int64 ones are taken as given.
+    int64 array: frequencies given to the constructor are checked (integers
+    within +-MAX_FREQUENCY) and cast.
     """
 
     __slots__ = ("_d", "_amps", "_freqs", "_phases", "_tracked", "_radius_sq", "_radius")

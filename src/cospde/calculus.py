@@ -165,66 +165,3 @@ def from_fourier_data(coefficients, dimension: int) -> AtomSum:
         return AtomSum.zero(dimension)
     return AtomSum.from_atoms(triples, dimension=dimension)
 
-
-def general_norm_bound(
-    norm_t: float,
-    radius_t: float,
-    *,
-    alpha: float,
-    d: int,
-    ell_m: float,
-    ell_d1: float,
-    ell_d2: float,
-    ell_A: float,
-    ell_c: float,
-    ell_f: float,
-    R_m: float,
-    R_d1: float,
-    R_d2: float,
-    R_A: float,
-    R_c: float,
-    R_f: float,
-) -> tuple[float, float]:
-    """One step of the general activation norm/radius recursion.
-
-    For an activation with product constants (ell_m, R_m), derivative
-    constants (ell_d1, R_d1) and (ell_d2, R_d2), coefficient masses ell_A,
-    ell_c, ell_f and radii R_A, R_c, R_f, a step of size alpha admits
-
-        norm_{t+1} <= (alpha ell_m ell_A (ell_d1^2 R_A R_t + ell_d2 R_t^2) d^2
-                       + alpha ell_m ell_c + 1) norm_t + alpha ell_f
-
-    for any radius
-
-        R_{t+1} >= max{R_m R_d1 (R_t + R_A), R_m (R_d2 R_t + R_A),
-                       R_m (R_t + R_c), R_t, R_f}.
-
-    This is a pure formula evaluator for worst-case growth budgeting; cosine
-    solves use the tighter cosine-specific ledger bound instead.
-    """
-    if not alpha >= 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError("d must be a positive integer")
-    for name, val in (("ell_m", ell_m), ("ell_d1", ell_d1), ("ell_d2", ell_d2),
-                      ("ell_A", ell_A), ("ell_c", ell_c), ("ell_f", ell_f),
-                      ("R_m", R_m), ("R_d1", R_d1), ("R_d2", R_d2)):
-        if not val > 0.0:
-            raise ValueError(f"constant {name} must be positive")
-    for name, val in (("R_A", R_A), ("R_c", R_c), ("R_f", R_f),
-                      ("norm_t", norm_t), ("radius_t", radius_t)):
-        if not val >= 0.0:
-            raise ValueError(f"{name} must be nonnegative")
-    norm_next = (
-        alpha * ell_m * ell_A * (ell_d1**2 * R_A * radius_t + ell_d2 * radius_t**2) * d**2
-        + alpha * ell_m * ell_c
-        + 1.0
-    ) * norm_t + alpha * ell_f
-    radius_next = max(
-        R_m * R_d1 * (radius_t + R_A),
-        R_m * (R_d2 * radius_t + R_A),
-        R_m * (radius_t + R_c),
-        radius_t,
-        R_f,
-    )
-    return norm_next, radius_next

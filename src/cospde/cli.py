@@ -12,8 +12,9 @@ Subcommands:
 
 All numeric output is written with repr so reruns are byte identical;
 the only exception is the wall-time column of scaling.csv.  Exit codes:
-0 success, 1 failure, 2 problem-file or usage error, 3 ellipticity probe
-failure, 4 ledger violation.  Any failure after output begins leaves a
+0 success, 1 failure, 2 problem-file or usage error (including out-of-range
+values), 3 the certified coefficient range does not fit the spectral bounds,
+4 ledger violation.  Any failure after output begins leaves a
 FAILED marker file in the output directory.
 """
 
@@ -28,7 +29,7 @@ from .atoms import to_text
 from .oracle import ProbeFailureError
 from .problem import diagonal_cosine_family
 from .problemfile import ParseError, build_problem, parse_problem_file
-from .sampler import ols_fit, rate_study
+from .sampler import MIN_TRIALS, ols_fit, rate_study
 from .solver import LedgerViolationError, solve
 from .validate import run_validation
 
@@ -66,13 +67,22 @@ def _write_csv(path, header, rows, trailer=()):
 
 
 def _parse_int_list(text, flag):
+    """Comma-separated positive integers in strictly increasing order."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ParseError(0, f"{flag} expects comma-separated integers, got {text!r}")
     if not values:
         raise ParseError(0, f"{flag} is empty")
+    if values[0] < 1 or sorted(set(values)) != values:
+        raise ParseError(0, f"{flag} must be positive and strictly increasing, got {text!r}")
     return values
+
+
+def _positive_epsilon(value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParseError(0, f"epsilon must be positive and finite, got {value!r}")
+    return value
 
 
 def _workers():
@@ -89,9 +99,11 @@ def _solve_problem(args, data):
     epsilon = args.epsilon if args.epsilon is not None else data.epsilon
     if epsilon is None:
         raise ParseError(0, "epsilon missing: set it in the file or pass --epsilon")
+    if args.oracle_K is not None and args.oracle_K < 1:
+        raise ParseError(0, f"--oracle-K must be at least 1, got {args.oracle_K}")
     return problem, solve(
         problem,
-        epsilon,
+        _positive_epsilon(epsilon),
         prune_enabled=not args.no_prune,
         prune_budget=data.prune_budget,
         oracle_truncation=args.oracle_K,
@@ -149,13 +161,15 @@ def cmd_solve(args, out):
 
 
 def cmd_rate_study(args, out):
+    widths = _parse_int_list(args.widths, "--widths")
+    if args.trials < MIN_TRIALS:
+        raise ParseError(0, f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     data = parse_problem_file(args.problem)
     target = data.g
     if target is None:
         _, result = _solve_problem(args, data)
         target = result.u
     seed = args.seed if args.seed is not None else (data.seed or 0)
-    widths = _parse_int_list(args.widths, "--widths")
     study = rate_study(target, widths, trials=args.trials, seed=seed,
                        workers=_workers())
 
@@ -175,15 +189,14 @@ def cmd_rate_study(args, out):
 
 def cmd_scaling_report(args, out):
     dims = _parse_int_list(args.dims, "--dims")
-    if sorted(set(dims)) != dims:
-        raise ParseError(0, "--dims must be strictly increasing")
+    epsilon = _positive_epsilon(args.epsilon)
     rows = []
     for d in dims:
         problem = diagonal_cosine_family(d)
         start = time.perf_counter()
         result = solve(
             problem,
-            args.epsilon,
+            epsilon,
             prune_enabled=not args.no_prune,
             compare_oracle=False,
         )

@@ -3,12 +3,14 @@
 Four unrelated checks live here: a spectral Galerkin reference solver on
 the torus (exact assembly, independent linear solve), an FFT multiplier
 check of the preconditioner, a quadrature check of the 1D screened
-Poisson kernel, and a sampling probe that validates the user's
-ellipticity bounds.
+Poisson kernel, and a certificate that proves the user's ellipticity
+bounds from the coefficients' atom masses (Gershgorin's theorem), with no
+grid and no sampling.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -24,13 +26,13 @@ TWO_PI = 2.0 * math.pi
 # H1 tolerance the reference is compared against
 CG_RTOL = 1e-13
 
+# largest dimension of the FFT preconditioner check's dense grid
 GRID_DIMENSION_CAP = 3
-
-PROBE_SEED = 15485863
 
 
 class ProbeFailureError(RuntimeError):
-    """The coefficients fail ellipticity or contradict the user's bounds."""
+    """The certified coefficient range is not positive or does not fit the
+    user's bounds."""
 
 
 def _max_abs_frequency(s):
@@ -272,83 +274,52 @@ def green1d_check(w, quadrature_halfwidth=50.0, n_nodes=4096):
     return abs(integral - 1.0 / (1.0 + w * w))
 
 
-def _extrema_at(p, pts):
-    npts = len(pts)
-    d = p.dimension
-    mat = np.empty((npts, d, d))
-    for i in range(d):
-        for j in range(d):
-            mat[:, i, j] = evaluate(p.a_entries[i][j], pts)
-    eigenvalues = np.linalg.eigvalsh(mat)
-    c_vals = evaluate(p.c, pts)
-    return (
-        float(np.min(eigenvalues)),
-        float(np.max(eigenvalues)),
-        float(np.min(c_vals)),
-        float(np.max(c_vals)),
-    )
+def _constant_and_mass(s):
+    """(constant amplitude, oscillating l1 mass) of s, as exact fractions."""
+    constant = ~s.frequencies.any(axis=1)
+    return (sum(map(Fraction, s.amplitudes[constant].tolist())),
+            sum(map(Fraction, np.abs(s.amplitudes[~constant]).tolist())))
 
 
-def _merge_extrema(a, b):
-    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+def ellipticity_probe(p):
+    """Proved ranges of the A(x) eigenvalues and of c(x), checked against the user bounds.
 
+    A cosine sum k + sum_w a_w cos(w.x + b_w) stays within its oscillating
+    mass o = sum_w |a_w| of its constant k, so c(x) lies in [k_c - o_c,
+    k_c + o_c].  By Gershgorin's theorem every eigenvalue of A(x) lies in
+    some disc k_ii +- (o_ii + sum_{j != i} m_ij), where m_ij is the l1 mass
+    of A_ij, which bounds |A_ij(x)|; so the eigenvalues lie in
+    [min_i(k_ii - o_ii - sum_j m_ij), max_i(k_ii + o_ii + sum_j m_ij)].
+    The bounds are computed and compared in exact rational arithmetic from
+    the atom amplitudes, in O(atoms), and are returned rounded to the
+    nearest float as (a_min, a_max, c_min, c_max).
 
-def _stable(prev, cur, tol=0.01):
-    return all(
-        abs(c - q) <= tol * max(abs(q), 1e-12) for c, q in zip(cur, prev)
-    )
-
-
-def ellipticity_probe(p, refinement_limit=6):
-    """Sampled extrema of the A(x) eigenvalues and of c(x), checked against the user bounds.
-
-    Dense nested grids up to dimension 3, accumulated random samples
-    above; either way the estimates only widen under refinement.
-    Raises ProbeFailureError on detected non-ellipticity or when the
-    sampled range escapes the user's [lam_min, lam_max].
+    Raises ProbeFailureError when the ranges do not fit inside the user's
+    [lam_min, lam_max]: either the coefficients violate the bound or the
+    certificate, an upper bound on the true range, is too loose.
     """
-    limit = max(1, int(refinement_limit))
-
-    if p.dimension <= GRID_DIMENSION_CAP:
-        maxfreq = max(
-            [_max_abs_frequency(p.c)]
-            + [_max_abs_frequency(e) for row in p.a_entries for e in row]
-        )
-        n = max(3, 2 * maxfreq + 1)
-        est = _extrema_at(p, _dense_grid(p.dimension, n))
-        for _ in range(limit - 1):
-            n *= 2
-            refined = _extrema_at(p, _dense_grid(p.dimension, n))
-            done = _stable(est, refined)
-            est = refined  # doubled grid contains the previous one
-            if done:
-                break
-    else:
-        rng = np.random.default_rng(PROBE_SEED)
-        batch = 4096
-        est = _extrema_at(p, rng.uniform(0.0, TWO_PI, size=(batch, p.dimension)))
-        for _ in range(limit - 1):
-            batch *= 2
-            more = _extrema_at(p, rng.uniform(0.0, TWO_PI, size=(batch, p.dimension)))
-            refined = _merge_extrema(est, more)
-            done = _stable(est, refined)
-            est = refined
-            if done:
-                break
-
-    a_min_est, a_max_est, c_min_est, c_max_est = est
-    if a_min_est <= 0.0 or c_min_est <= 0.0:
+    a_min, a_max = math.inf, -math.inf
+    for i, row in enumerate(p.a_entries):
+        split = [_constant_and_mass(e) for e in row]
+        k, o = split[i]
+        radius = o + sum(abs(kj) + oj for j, (kj, oj) in enumerate(split) if j != i)
+        a_min, a_max = min(a_min, k - radius), max(a_max, k + radius)
+    k_c, o_c = _constant_and_mass(p.c)
+    c_min, c_max = k_c - o_c, k_c + o_c
+    lower, upper = min(a_min, c_min), max(a_max, c_max)
+    if lower <= 0:
         raise ProbeFailureError(
-            f"non-elliptic coefficients: sampled a_min={a_min_est!r}, c_min={c_min_est!r}"
+            f"non-elliptic coefficients or a loose certificate: the certified "
+            f"lower bound {float(lower)!r} is not positive"
         )
-    if p.lam_min > min(a_min_est, c_min_est):
+    if Fraction(p.lam_min) > lower:
         raise ProbeFailureError(
-            f"lam_min={p.lam_min!r} exceeds sampled minimum "
-            f"{min(a_min_est, c_min_est)!r}"
+            f"lam_min={p.lam_min!r} exceeds the certified lower bound {float(lower)!r}: "
+            "either the coefficients violate it or the certificate is too loose"
         )
-    if p.lam_max < max(a_max_est, c_max_est):
+    if Fraction(p.lam_max) < upper:
         raise ProbeFailureError(
-            f"lam_max={p.lam_max!r} below sampled maximum "
-            f"{max(a_max_est, c_max_est)!r}"
+            f"lam_max={p.lam_max!r} below the certified upper bound {float(upper)!r}: "
+            "either the coefficients violate it or the certificate is too loose"
         )
-    return est
+    return float(a_min), float(a_max), float(c_min), float(c_max)

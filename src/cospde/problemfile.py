@@ -227,4 +227,7 @@ def build_problem(data):
             if entry is None:
                 entry = one if i == j else zero
             rows[i][j] = entry
-    return EllipticProblem(rows, data.c, data.f, data.lambda_min, data.lambda_max)
+    try:
+        return EllipticProblem(rows, data.c, data.f, data.lambda_min, data.lambda_max)
+    except ValueError as exc:
+        raise ParseError(1, str(exc)) from None

@@ -18,6 +18,9 @@ import numpy as np
 from .atoms import AtomSum, add, from_text, h1_norm_torus, scale, to_text
 from .calculus import rebalance
 
+# fewest trials per width for which a rate study reports an RMS error
+MIN_TRIALS = 30
+
 
 @dataclass(frozen=True)
 class TwoLayerNet:
@@ -152,8 +155,8 @@ def rate_study(g, widths, trials, seed, workers=1):
     if min(widths) < 1:
         raise ValueError("widths must be positive")
     trials = int(trials)
-    if trials < 30:
-        raise ValueError("need at least 30 trials per width")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials per width")
 
     g_text = to_text(g)
     workers = worker_count(workers, len(widths))

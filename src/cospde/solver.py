@@ -247,15 +247,20 @@ class SolveResult:
     final_h1_error: Optional[float] = None
 
 
+# largest dimension at which solve() checks every step against a Galerkin
+# reference by default; the reference's unknowns grow like (2K + 1)^d
+ORACLE_DIMENSION_CAP = 3
+
+
 def solve(p, epsilon, prune_enabled=True, prune_budget=None,
           compare_oracle=None, oracle_truncation=None):
     """Run the planned number of optimal-step iterations from u0 = 0.
 
     Half of epsilon is budgeted for the iteration count, half for
-    pruning (spread evenly over the steps).  Up to dimension 3 every
-    ledger row also records the exact H1 distance to a Galerkin
-    reference computed on a span containing every frequency the
-    iteration can reach.
+    pruning (spread evenly over the steps).  By default, up to dimension
+    ORACLE_DIMENSION_CAP, every ledger row also records the exact H1
+    distance to a Galerkin reference computed on a span containing every
+    frequency the iteration can reach.
     """
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -264,7 +269,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None,
     alpha, contraction = optimal_step(p.lam_min, p.lam_max)
 
     if compare_oracle is None:
-        compare_oracle = p.dimension <= 3
+        compare_oracle = p.dimension <= ORACLE_DIMENSION_CAP
 
     steps, predicted_radius, predicted_norm = _plan(p, epsilon)
     reference = None

@@ -138,9 +138,9 @@ def check_green_function_1d():
 
 def check_ellipticity_probe():
     a_min, a_max, c_min, c_max = ellipticity_probe(_d1_benchmark())
-    if not (0.99 <= a_min <= 1.0 and 2.99 <= a_max <= 3.0):
+    if (a_min, a_max) != (1.0, 3.0):
         raise AssertionError(f"A range ({a_min!r}, {a_max!r}) off target")
-    if not (c_min == 1.0 and c_max == 1.0):
+    if (c_min, c_max) != (1.0, 1.0):
         raise AssertionError(f"c range ({c_min!r}, {c_max!r}) off target")
     return f"A in [{a_min!r}, {a_max!r}], c constant 1"
 

@@ -253,6 +253,15 @@ class TestValidation:
             AtomSum.from_atoms([(1.0, (math.inf,), 0.0)])
         assert AtomSum.from_atoms([(1.0, (2.0**24,), 0.0)]).frequencies[0, 0] == 2**24
 
+    def test_rejects_int64_frequency_beyond_bound(self):
+        # the first two square past int64: 2**80 wraps to 0, and 2 * 2**62
+        # to a negative radius; abs(-2**63) overflows to itself
+        for d, row in ((1, [2**40]), (2, [2**31, 2**31]), (1, [-(2**63)]), (1, [2**24 + 1])):
+            with pytest.raises(ValueError, match="integer vectors"):
+                AtomSum(d, True, [1.0], np.array([row], dtype=np.int64), [0.0])
+        s = AtomSum(1, True, [1.0], np.array([[-(2**24)]], dtype=np.int64), [0.0])
+        assert s.support_radius_sq == 2.0**48
+
     def test_frequencies_are_int64_on_every_construction_path(self):
         s = AtomSum(2, True, [1.0, 0.5, 2.0], [[1.0, -2.0], [0.0, 0.0], [-3.0, 1.0]],
                     [0.3, 0.0, 1.1])

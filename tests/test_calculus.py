@@ -9,7 +9,6 @@ from cospde.atoms import AtomSum, add, evaluate, scale
 from cospde.calculus import (
     apply_elliptic,
     from_fourier_data,
-    general_norm_bound,
     partial_derivative,
     precondition,
     product,
@@ -348,29 +347,3 @@ class TestFromFourierData:
                 ref += c.real
         got = evaluate(s, pts)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
-
-
-class TestGeneralNormBound:
-    UNIT = dict(ell_m=1.0, ell_d1=1.0, ell_d2=1.0, ell_A=1.0, ell_c=1.0, ell_f=1.0,
-                R_m=1.0, R_d1=1.0, R_d2=1.0, R_A=1.0, R_c=1.0, R_f=1.0)
-
-    def test_all_ones_frozen_values(self):
-        norm_next, radius_next = general_norm_bound(1.0, 1.0, alpha=1.0, d=1, **self.UNIT)
-        assert norm_next == 5.0
-        assert radius_next == 2.0
-
-    def test_zero_alpha_keeps_norm(self):
-        norm_next, _ = general_norm_bound(1.7, 2.3, alpha=0.0, d=4, **self.UNIT)
-        assert norm_next == 1.7
-
-    def test_radius_never_shrinks(self):
-        _, radius_next = general_norm_bound(1.0, 3.0, alpha=0.5, d=2, **self.UNIT)
-        assert radius_next >= 3.0
-
-    def test_nonpositive_constants_rejected(self):
-        bad = dict(self.UNIT)
-        bad["ell_m"] = 0.0
-        with pytest.raises(ValueError):
-            general_norm_bound(1.0, 1.0, alpha=1.0, d=1, **bad)
-        with pytest.raises(ValueError):
-            general_norm_bound(1.0, 1.0, alpha=-0.5, d=1, **self.UNIT)

@@ -150,6 +150,46 @@ class TestFailures:
         assert cli.main(["solve", str(lying), "--out", str(out)]) == 3
         assert "probe failure" in (out / "FAILED").read_text()
 
+    def test_bound_inside_true_range_exit_3(self, tmp_path):
+        # the d=5 diagonal cosine family, A = I + diag(cos x_i)/2, reaches
+        # exactly 1/2: a lambda_min 1e-10 above it cannot be certified
+        d = 5
+        axis = [" ".join("1" if j == i else "0" for j in range(d)) for i in range(d)]
+        zero = " ".join("0" * d)
+        text = "dim 5\nlambda_min 0.5000000001\nlambda_max 1.5\nepsilon 1e-2\n"
+        for i in range(d):
+            text += f"A {i + 1} {i + 1}\n1 {zero} 0\n0.5 {axis[i]} 0\nend\n"
+        text += f"c\n1 {zero} 0\nend\nf\n" + "".join(f"0.2 {w} 0\n" for w in axis) + "end\n"
+        tight = tmp_path / "tight.txt"
+        tight.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(tight), "--out", str(out)]) == 3
+        assert "certified lower bound 0.5" in (out / "FAILED").read_text()
+
+    @pytest.mark.parametrize("bounds", ["lambda_min 0\nlambda_max 3",
+                                        "lambda_min 3\nlambda_max 1",
+                                        "lambda_min nan\nlambda_max 3"])
+    def test_bad_spectral_bounds_exit_2(self, tmp_path, bounds):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"dim 1\n{bounds}\nepsilon 1e-2\nc\n1 0 0\nend\nf\n1 1 0\nend\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(bad), "--out", str(out)]) == 2
+        assert "parse error" in (out / "FAILED").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", D1, "--epsilon", "0"],
+        ["solve", D1, "--epsilon", "nan"],
+        ["solve", D1, "--oracle-K", "0"],
+        ["rate-study", TARGET, "--trials", "5"],
+        ["rate-study", TARGET, "--widths", "16,0"],
+        ["scaling-report", "--epsilon", "0"],
+        ["scaling-report", "--dims", "0,1"],
+    ])
+    def test_bad_flag_values_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "parse error" in (out / "FAILED").read_text()
+
     def test_ledger_violation_exit_4(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise LedgerViolationError("synthetic")

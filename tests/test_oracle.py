@@ -204,10 +204,7 @@ class TestEllipticityProbe:
         assert ellipticity_probe(identity_problem(2)) == (1.0, 1.0, 1.0, 1.0)
 
     def test_d1_benchmark_ranges(self):
-        a_min, a_max, c_min, c_max = ellipticity_probe(d1_benchmark())
-        assert 0.99 <= a_min <= 1.0
-        assert 3.0 >= a_max >= 2.99
-        assert c_min == c_max == 1.0
+        assert ellipticity_probe(d1_benchmark()) == (1.0, 3.0, 1.0, 1.0)
 
     def test_non_elliptic_detected(self):
         a = AtomSum.from_atoms([(1.0, (0.0,), 0.0), (2.0, (1.0,), 0.0)])
@@ -230,16 +227,32 @@ class TestEllipticityProbe:
         with pytest.raises(ProbeFailureError, match="lam_min"):
             ellipticity_probe(p)
 
-    def test_high_dimensional_sampling_path(self):
-        p = diagonal_cosine_family(5)
-        a_min, a_max, c_min, c_max = ellipticity_probe(p)
-        assert 0.5 < a_min < 0.6
-        assert 1.4 < a_max < 1.5 + 1e-12
-        assert c_min == c_max == 1.0
+    def test_family_certified_exactly_at_every_dimension(self):
+        for d in range(1, 17):
+            assert ellipticity_probe(diagonal_cosine_family(d)) == (0.5, 1.5, 1.0, 1.0)
 
-    def test_refinement_only_widens(self):
-        p = diagonal_cosine_family(5)
-        coarse = ellipticity_probe(p, refinement_limit=1)
-        fine = ellipticity_probe(p, refinement_limit=3)
-        assert fine[0] <= coarse[0] and fine[2] <= coarse[2]
-        assert fine[1] >= coarse[1] and fine[3] >= coarse[3]
+    def test_bounds_just_inside_the_true_range_rejected(self):
+        # the family's eigenvalues reach exactly 1/2 and 3/2; bounds a hair
+        # inside them must fail, which a sampled minimum cannot show
+        family = diagonal_cosine_family(5)
+        for lam_min, lam_max, name in ((0.5 + 1e-10, 1.5, "lam_min"),
+                                       (0.5, 1.5 - 1e-10, "lam_max")):
+            p = EllipticProblem(family.a_entries, family.c, family.f, lam_min, lam_max)
+            with pytest.raises(ProbeFailureError, match=name):
+                ellipticity_probe(p)
+
+    def test_loose_certificate_names_the_certified_bound(self):
+        # A = 3 + cos x + cos 2x never falls below 15/8, but its mass
+        # certificate only proves 1
+        a = AtomSum.from_atoms([(3.0, (0.0,), 0.0), (1.0, (1.0,), 0.0), (1.0, (2.0,), 0.0)])
+        one = constant_sum(1, 1.0)
+        p = EllipticProblem(((a,),), one, one, 1.5, 5.0)
+        with pytest.raises(ProbeFailureError, match=r"lam_min=1\.5 .* bound 1\.0\b.*too loose"):
+            ellipticity_probe(p)
+
+    def test_gershgorin_certifies_constant_off_diagonal(self):
+        # [[2, 1/2], [1/2, 1]] has eigenvalues (3 +- sqrt 2)/2, inside the
+        # Gershgorin discs 2 +- 1/2 and 1 +- 1/2
+        two, one, half = (constant_sum(2, v) for v in (2.0, 1.0, 0.5))
+        p = EllipticProblem(((two, half), (half, one)), one, one, 0.5, 2.5)
+        assert ellipticity_probe(p) == (0.5, 2.5, 1.0, 1.0)
