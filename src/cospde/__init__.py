@@ -3,8 +3,9 @@
 The package represents coefficients, data, and iterates as canonical sums of
 cosine atoms, runs a preconditioned gradient iteration whose every step stays
 inside that algebra with certified norm/radius ledgers, samples two-layer
-cosine networks from the rebalanced atom measure, and cross-checks solves
-against an independent spectral Galerkin reference.
+cosine networks as atom sums by counting draws from the normalised amplitude
+measure, and cross-checks solves against an independent spectral Galerkin
+reference.
 """
 
 from .atoms import (
@@ -22,13 +23,11 @@ from .atoms import (
     to_text,
 )
 from .calculus import (
-    RebalancedMeasure,
     apply_elliptic,
     from_fourier_data,
     partial_derivative,
     precondition,
     product,
-    rebalance,
     second_derivative,
 )
 from .oracle import (
@@ -57,7 +56,6 @@ from .problemfile import (
 )
 from .sampler import (
     RateStudyResult,
-    TwoLayerNet,
     h1_error_exact,
     rate_study,
     rms_error_bound,
@@ -92,9 +90,7 @@ __all__ = [
     "ProbeFailureError",
     "ProblemFileData",
     "RateStudyResult",
-    "RebalancedMeasure",
     "SolveResult",
-    "TwoLayerNet",
     "add",
     "apply_elliptic",
     "build_problem",
@@ -128,7 +124,6 @@ __all__ = [
     "product",
     "prune",
     "rate_study",
-    "rebalance",
     "rms_error_bound",
     "sample_network",
     "scale",

@@ -14,7 +14,6 @@ therefore never leaves the atom representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,36 +103,6 @@ def apply_elliptic(p, u: AtomSum) -> AtomSum:
                 if not d2u.is_zero:
                     terms.append(scale(product(a_ij, d2u), -1.0))
     return sum_many(terms)
-
-
-@dataclass(frozen=True)
-class RebalancedMeasure:
-    """Sampling form of an atom sum: frequency/phase pairs with probabilities
-    |a_i| / l and signs sign(a_i), where l is the tracked norm.  Drawing
-    (w, b, sign) from this measure and emitting sign * l * cos(<w,x> + b)
-    reproduces the sum in expectation."""
-
-    dimension: int
-    total_mass: float
-    probabilities: np.ndarray
-    signs: np.ndarray
-    frequencies: np.ndarray
-    phases: np.ndarray
-
-
-def rebalance(s: AtomSum) -> RebalancedMeasure:
-    """Rebalanced atom measure of a nonzero sum."""
-    if s.is_zero or s.tracked_norm == 0.0:
-        raise ValueError("cannot rebalance a zero atom sum")
-    absamp = np.abs(s.amplitudes)
-    return RebalancedMeasure(
-        dimension=s.dimension,
-        total_mass=s.tracked_norm,
-        probabilities=absamp / s.tracked_norm,
-        signs=np.sign(s.amplitudes),
-        frequencies=s.frequencies,
-        phases=s.phases,
-    )
 
 
 def from_fourier_data(coefficients, dimension: int) -> AtomSum:

@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from .atoms import to_text
-from .oracle import ProbeFailureError
+from .oracle import ProbeFailureError, _max_abs_frequency
 from .problem import diagonal_cosine_family
 from .problemfile import ParseError, build_problem, parse_problem_file
 from .sampler import MIN_TRIALS, ols_fit, rate_study
@@ -99,13 +99,15 @@ def _solve_problem(args, data):
     epsilon = args.epsilon if args.epsilon is not None else data.epsilon
     if epsilon is None:
         raise ParseError(0, "epsilon missing: set it in the file or pass --epsilon")
-    if args.oracle_K is not None and args.oracle_K < 1:
-        raise ParseError(0, f"--oracle-K must be at least 1, got {args.oracle_K}")
+    # the reference's box |k|_inf <= K must be nonempty and hold f
+    smallest_k = max(1, _max_abs_frequency(problem.f))
+    if args.oracle_K is not None and args.oracle_K < smallest_k:
+        raise ParseError(0, f"--oracle-K must be at least {smallest_k} to hold f's "
+                            f"frequencies, got {args.oracle_K}")
     return problem, solve(
         problem,
         _positive_epsilon(epsilon),
         prune_enabled=not args.no_prune,
-        prune_budget=data.prune_budget,
         oracle_truncation=args.oracle_K,
     )
 

@@ -24,8 +24,7 @@ A file is a sequence of `key value` directives and atom blocks:
 Frequencies are integer vectors: every problem lives on the torus
 [0, 2*pi)^d.  Unspecified A entries default to the constant 1 on the
 diagonal and 0 off it.  An optional `g` block names a sampling target for
-rate studies.  Directives: dim, lambda_min, lambda_max, epsilon, seed,
-prune_budget.
+rate studies.  Directives: dim, lambda_min, lambda_max, epsilon, seed.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ _DIRECTIVES = {
     "lambda_max": float,
     "epsilon": float,
     "seed": int,
-    "prune_budget": float,
 }
 
 
@@ -58,7 +56,6 @@ class ProblemFileData:
     lambda_max: Optional[float] = None
     epsilon: Optional[float] = None
     seed: Optional[int] = None
-    prune_budget: Optional[float] = None
     a_blocks: dict = field(default_factory=dict)
     c: Optional[AtomSum] = None
     f: Optional[AtomSum] = None
@@ -188,7 +185,6 @@ def parse_problem_text(text):
     data.lambda_max = directives.get("lambda_max")
     data.epsilon = directives.get("epsilon")
     data.seed = directives.get("seed")
-    data.prune_budget = directives.get("prune_budget")
 
     for key, (start, body) in blocks.items():
         if key[0] == "A":

@@ -1,11 +1,13 @@
 """Monte Carlo two-layer cosine networks drawn from an atom sum.
 
-A width-k network (1/k) sum_i a_i cos(w_i.x + b_i) is built by sampling
-atom indices i.i.d. from the equal-mass rebalanced measure, so each
-neuron carries outer weight +-ell and the network is an unbiased
-estimator of the target at every point.  On the torus the H1 error of a
-network is computed exactly through the atom algebra, which makes the
-k^{-1/2} rate study free of quadrature noise.
+A width-k network (1/k) sum_j s_j ell cos(w_j.x + b_j) is built by drawing
+k atoms i.i.d. from the target's normalised amplitude measure, atom i with
+probability |a_i| / ell (Maurey's empirical method), so each neuron carries
+outer weight +-ell and the network is an unbiased estimator of the target
+at every point.  The network is fully described by how many times each
+atom was drawn, and is returned as the atom sum of the drawn atoms.  On the
+torus the H1 error of a network is computed exactly through the atom
+algebra, which makes the k^{-1/2} rate study free of quadrature noise.
 """
 
 import math
@@ -16,76 +18,37 @@ from typing import Optional
 import numpy as np
 
 from .atoms import AtomSum, add, from_text, h1_norm_torus, scale, to_text
-from .calculus import rebalance
 
 # fewest trials per width for which a rate study reports an RMS error
 MIN_TRIALS = 30
 
 
-@dataclass(frozen=True)
-class TwoLayerNet:
-    dimension: int
-    amplitudes: np.ndarray
-    frequencies: np.ndarray
-    phases: np.ndarray
-
-    @property
-    def width(self):
-        return len(self.amplitudes)
-
-    def evaluate(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        theta = pts @ self.frequencies.T + self.phases
-        values = (np.cos(theta) @ self.amplitudes) / self.width
-        return float(values[0]) if np.asarray(points).ndim == 1 else values
-
-    def to_atom_sum(self):
-        """The network as an atom sum, merging repeated neurons exactly.
-
-        Repeated draws of the same atom are counted first and emitted as
-        amplitude sign * ell * count / width, so a zero-variance network
-        reproduces its target bitwise.
-        """
-        if self.width == 0:
-            return AtomSum.zero(self.dimension)
-        rows = np.column_stack([self.frequencies, self.phases])
-        order = np.lexsort(rows.T)
-        rows = rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        starts = first.nonzero()[0]
-        net = np.add.reduceat(np.copysign(1.0, self.amplitudes[order]), starts)
-        live = net != 0.0
-        ell = abs(float(self.amplitudes[0]))
-        rows = rows[starts[live]]
-        return AtomSum(
-            self.dimension, True, ell * net[live] / self.width, rows[:, :-1], rows[:, -1]
-        )
-
-
 def sample_network(g, k, seed):
-    """Draw a width-k network whose expectation at every point is g."""
+    """Draw a width-k network whose expectation at every point is g.
+
+    An atom of g drawn n times carries amplitude ell * (sign(a) * n) / k.
+    The drawn atoms are a subset of canonical g in g's order, with nonzero
+    amplitudes, so the network is a canonical atom sum without a merge.
+    """
     k = int(k)
     if k < 1:
         raise ValueError("width must be at least 1")
-    measure = rebalance(g)  # rejects the zero function
+    if g.is_zero:
+        raise ValueError("cannot sample a network from the zero function")
+    ell = g.tracked_norm
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    cumulative = np.cumsum(measure.probabilities)
+    cumulative = np.cumsum(np.abs(g.amplitudes) / ell)
     cumulative[-1] = 1.0
     idx = np.searchsorted(cumulative, rng.random(k), side="right")
-    return TwoLayerNet(
-        dimension=g.dimension,
-        amplitudes=np.asarray(measure.signs)[idx] * measure.total_mass,
-        frequencies=np.asarray(measure.frequencies)[idx],
-        phases=np.asarray(measure.phases)[idx],
-    )
+    counts = np.bincount(idx, minlength=g.atom_count)
+    drawn = counts.nonzero()[0]
+    amps = ell * (np.sign(g.amplitudes[drawn]) * counts[drawn]) / k
+    return AtomSum._trusted(g.dimension, amps, g.frequencies[drawn], g.phases[drawn])
 
 
 def h1_error_exact(net, g):
     """Exact H1 distance between the network and its target (no quadrature)."""
-    if net.dimension != g.dimension:
-        raise ValueError("dimension mismatch")
-    return h1_norm_torus(add(net.to_atom_sum(), scale(g, -1.0)))
+    return h1_norm_torus(add(net, scale(g, -1.0)))
 
 
 def rms_error_bound(g, k):

@@ -252,8 +252,7 @@ class SolveResult:
 ORACLE_DIMENSION_CAP = 3
 
 
-def solve(p, epsilon, prune_enabled=True, prune_budget=None,
-          compare_oracle=None, oracle_truncation=None):
+def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation=None):
     """Run the planned number of optimal-step iterations from u0 = 0.
 
     Half of epsilon is budgeted for the iteration count, half for
@@ -285,7 +284,7 @@ def solve(p, epsilon, prune_enabled=True, prune_budget=None,
     if reference is not None:
         state.ledger[0].h1_error = h1_distance(state.u, reference.u)
 
-    total_budget = 0.5 * epsilon if prune_budget is None else float(prune_budget)
+    total_budget = 0.5 * epsilon
     per_step_budget = None
     if prune_enabled and steps > 0 and total_budget > 0.0:
         per_step_budget = total_budget / steps

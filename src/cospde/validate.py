@@ -197,11 +197,7 @@ def check_sampler_round_trip():
     if err != 0.0:
         raise AssertionError(f"single-atom target reproduced with error {err!r}")
     again = sample_network(g, 64, seed=3)
-    if not (
-        np.array_equal(net.amplitudes, again.amplitudes)
-        and np.array_equal(net.frequencies, again.frequencies)
-        and np.array_equal(net.phases, again.phases)
-    ):
+    if again != net:
         raise AssertionError("same seed produced a different network")
     return "exact single-atom reproduction, seed-stable"
 

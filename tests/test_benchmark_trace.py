@@ -1,9 +1,9 @@
 """Contract between the package and the benchmark's span tracer.
 
 `perfbench/spans.py` wraps public functions by name and the `AtomSum`
-constructor by position.  This test runs one traced solve through it, so a
-change to those names or to the constructor's parameters fails here and not
-only in a traced benchmark run.
+constructor by position.  These tests run one traced solve and one traced
+rate study through it, so a change to those names or to the constructor's
+parameters fails here and not only in a traced benchmark run.
 """
 
 import sys
@@ -13,12 +13,19 @@ import cospde
 
 ROOT = Path(__file__).resolve().parent.parent
 D1 = ROOT / "problems" / "d1_benchmark.txt"
+TARGET = ROOT / "problems" / "sampling_target.txt"
 
 SOLVE_SPANS = (
     "atoms.canonicalize",
     "solver.step",
     "calculus.apply_elliptic",
     "oracle.linear_solve",
+)
+RATE_STUDY_SPANS = (
+    "sampler.sample_network",
+    "sampler.h1_error_exact",
+    "atoms.canonicalize",
+    "atoms.to_text",
 )
 
 
@@ -49,3 +56,24 @@ def test_traced_d1_solve_records_every_layer():
     problems, solves = spans.completeness_problems(tracer, SOLVE_SPANS)
     assert problems == []
     assert solves == 1
+
+
+def test_traced_rate_study_records_every_layer():
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.root("rate"):
+            g = cospde.parse_problem_file(TARGET).g
+            result = cospde.rate_study(g, [8, 16], trials=30, seed=0)
+    finally:
+        tracer.uninstall()
+
+    assert len(result.rows) == 60
+    recorded = {tracer.span_name(i) for i in range(len(tracer))}
+    assert set(RATE_STUDY_SPANS) <= recorded
+    assert not any(tracer.failed)
+    problems, _ = spans.completeness_problems(tracer, RATE_STUDY_SPANS)
+    assert problems == []
+    trials = sum(tracer.span_name(i) == "sampler.h1_error_exact" for i in range(len(tracer)))
+    assert trials == 60

@@ -12,7 +12,6 @@ from cospde.calculus import (
     partial_derivative,
     precondition,
     product,
-    rebalance,
     second_derivative,
 )
 from cospde.problem import EllipticProblem
@@ -266,37 +265,6 @@ class TestApplyElliptic:
                     ref += -(da * du + scalar_eval(aij, x) * d2u)
             got = evaluate(out, x)
             assert abs(got - ref) <= 2e-5 * max(1.0, abs(ref))
-
-
-class TestRebalance:
-    def test_example_masses_and_signs(self):
-        s = AtomSum.from_atoms([(3.0, (1.0, 0.0), 0.3), (-1.0, (0.0, 1.0), 1.0)])
-        m = rebalance(s)
-        assert m.total_mass == 4.0
-        # atoms are held in canonical frequency order: (0,1) before (1,0)
-        assert list(m.probabilities) == [0.25, 0.75]
-        assert list(m.signs) == [-1.0, 1.0]
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(90)
-        s = random_sum(rng, 2, 25, max_freq=3)
-        m = rebalance(s)
-        assert math.isclose(float(np.sum(m.probabilities)), 1.0, rel_tol=1e-12)
-
-    def test_reconstruction_identity(self):
-        rng = np.random.default_rng(91)
-        s = random_sum(rng, 2, 15, max_freq=3)
-        m = rebalance(s)
-        pts = rng.uniform(0, TWO_PI, size=(100, 2))
-        vals = np.zeros(len(pts))
-        for p, sg, w, b in zip(m.probabilities, m.signs, m.frequencies, m.phases):
-            vals += p * sg * m.total_mass * np.cos(pts @ w + b)
-        ref = evaluate(s, pts)
-        assert np.max(np.abs(vals - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ValueError):
-            rebalance(AtomSum.zero(2))
 
 
 class TestFromFourierData:

@@ -133,6 +133,28 @@ class TestFailures:
         assert "parse error" in marker
         assert "line 2" in marker
 
+    def test_prune_budget_directive_exit_2(self, tmp_path):
+        lines = Path(D1).read_text().splitlines()
+        budget = tmp_path / "budget.txt"
+        budget.write_text("\n".join(lines[:1] + ["prune_budget 0.05"] + lines[1:]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(budget), "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "unknown directive" in marker
+        assert "line 2" in marker
+
+    def test_oracle_k_below_f_frequencies_exit_2(self, tmp_path):
+        # f = cos 3x needs a reference box of at least |k| <= 3
+        cos3 = tmp_path / "cos3.txt"
+        cos3.write_text("dim 1\nlambda_min 1\nlambda_max 1\nepsilon 1e-3\n"
+                        "c\n1 0 0\nend\nf\n1 3 0\nend\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(cos3), "--oracle-K", "2", "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "parse error" in marker
+        assert "--oracle-K must be at least 3" in marker
+        assert cli.main(["solve", str(cos3), "--oracle-K", "3", "--out", str(out)]) == 0
+
     def test_missing_file_exit_2(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["solve", str(tmp_path / "nope.txt"), "--out", str(out)]) == 2

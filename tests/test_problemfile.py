@@ -100,12 +100,11 @@ class TestParsing:
 
     def test_g_block_and_directives(self):
         text = (
-            "dim 2\nseed 7\nprune_budget 1e-4\n"
+            "dim 2\nseed 7\n"
             "g\n1 1 0 0\n0.5 0 1 0.25\nend\n"
         )
         data = parse_problem_text(text)
         assert data.seed == 7
-        assert data.prune_budget == 1e-4
         assert data.g.atom_count == 2
         assert data.g.tracked_norm == 1.5
 
@@ -141,6 +140,10 @@ class TestParseErrors:
 
     def test_unknown_directive(self):
         self.expect("dim 1\nwibble 3\n", 2, "unknown")
+
+    def test_prune_budget_is_unknown(self):
+        # a budget other than epsilon/2 could break the epsilon guarantee
+        self.expect("dim 1\nprune_budget 0.05\n", 2, "unknown directive")
 
     def test_wrong_field_count_reports_atom_line(self):
         text = "dim 2\nc\n1 0 0 0\n1 0 0\nend\n"

@@ -1,13 +1,15 @@
-"""Sampled two-layer networks: unbiasedness, exact errors, the rate study."""
+"""Sampled two-layer networks: unbiasedness, exact counts, exact errors, the rate study."""
 
+import bisect
 import concurrent.futures
+import itertools
 import math
 import os
 
 import numpy as np
 import pytest
 
-from cospde.atoms import AtomSum, evaluate
+from cospde.atoms import AtomSum, add, evaluate
 from cospde.sampler import (
     h1_error_exact,
     ols_fit,
@@ -36,7 +38,7 @@ class TestSampleNetwork:
     def test_width_one_network_is_one_scaled_atom(self):
         g = AtomSum.from_atoms([(3.0, (1.0, 0.0), 0.2), (-1.0, (0.0, 1.0), 0.9)])
         net = sample_network(g, 1, seed=0)
-        assert net.width == 1
+        assert net.atom_count == 1
         assert abs(net.amplitudes[0]) == 4.0  # +-ell
 
     def test_same_seed_identical(self):
@@ -76,48 +78,56 @@ class TestSampleNetwork:
 
 
 class TestConversion:
-    def test_round_trip_matches_direct_evaluation(self):
-        g = ten_atom_target()
-        net = sample_network(g, 64, seed=5)
-        s = net.to_atom_sum()
-        rng = np.random.default_rng(55)
-        pts = rng.uniform(0, 2 * math.pi, size=(200, 2))
-        direct = net.evaluate(pts)
-        via_atoms = evaluate(s, pts)
-        scale_ref = max(1.0, float(np.max(np.abs(direct))))
-        assert np.max(np.abs(direct - via_atoms)) <= 1e-13 * scale_ref
+    """The network as counts of the target's atoms."""
 
     @pytest.mark.parametrize("k", [1, 64, 4096])
     def test_matches_neuron_by_neuron_count(self, k):
-        # reference: count each distinct (w, b) neuron in a dict, then scale
+        # reference: redraw the same Philox indices one neuron at a time,
+        # count each drawn atom in a dict, then scale
         g = ten_atom_target()
-        net = sample_network(g, k, seed=21)
+        ell = g.tracked_norm
+        cumulative = list(itertools.accumulate(abs(float(a)) / ell for a in g.amplitudes))
+        cumulative[-1] = 1.0
+        rng = np.random.Generator(np.random.Philox(21))
         counts = {}
-        for a, w, b in zip(net.amplitudes, net.frequencies, net.phases):
-            key = (tuple(w), float(b))
-            counts[key] = counts.get(key, 0.0) + math.copysign(1.0, a)
-        ell = abs(float(net.amplitudes[0]))
+        for _ in range(k):
+            i = bisect.bisect_right(cumulative, rng.random())
+            counts[i] = counts.get(i, 0) + 1
+        atoms = g.atoms
         expected = AtomSum.from_atoms(
-            [(ell * c / k, w, b) for (w, b), c in counts.items() if c != 0.0], dimension=2
+            [(ell * math.copysign(n, atoms[i].amplitude) / k, atoms[i].frequency, atoms[i].phase)
+             for i, n in counts.items()],
+            dimension=2,
         )
-        assert net.to_atom_sum() == expected
+        assert sample_network(g, k, seed=21) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_network_is_canonical(self, seed):
+        # the network skips the constructor; rebuilding it through the
+        # constructor must change nothing, for targets with a constant atom
+        # and negative amplitudes
+        rng = np.random.default_rng(300 + seed)
+        g = add(random_sum(rng, 2, 12, max_freq=2), AtomSum.from_atoms([(-0.7, (0.0, 0.0), 0.0)]))
+        assert (g.amplitudes < 0).any() and (g.frequencies == 0).all(axis=1).any()
+        for k in (1, 7, 64, 1000):
+            net = sample_network(g, k, seed=seed)
+            rebuilt = AtomSum(2, True, net.amplitudes, net.frequencies, net.phases)
+            assert net == rebuilt
+            assert net.tracked_norm == rebuilt.tracked_norm
 
     def test_atom_count_bounded_by_target_support(self):
         g = ten_atom_target()
         net = sample_network(g, 4096, seed=9)
-        assert net.to_atom_sum().atom_count <= g.atom_count
+        assert net.atom_count <= g.atom_count
 
     def test_manual_exact_reconstruction_has_zero_error(self):
-        # a network listing each atom of a rebalanced two-atom target in
-        # proportion to its mass is the target itself
+        # a network listing each atom of a two-atom target in proportion to
+        # its mass, one neuron of weight +-ell / 4 each, is the target itself
         g = AtomSum.from_atoms([(3.0, (1.0, 0.0), 0.2), (-1.0, (0.0, 1.0), 0.9)])
         ell = g.tracked_norm
-        from cospde.sampler import TwoLayerNet
-
-        amps = np.array([ell, ell, ell, -ell])
-        freqs = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
-        phases = np.array([0.2, 0.2, 0.2, 0.9])
-        net = TwoLayerNet(2, amps, freqs, phases)
+        net = AtomSum.from_atoms(
+            [(ell / 4, (1.0, 0.0), 0.2)] * 3 + [(-ell / 4, (0.0, 1.0), 0.9)]
+        )
         assert h1_error_exact(net, g) == 0.0
 
 
