@@ -65,6 +65,7 @@ from .solver import (
     IterationState,
     LedgerRecord,
     LedgerViolationError,
+    SizeLimitError,
     SolveResult,
     cosine_ledger_bound,
     growth_factor,
@@ -90,6 +91,7 @@ __all__ = [
     "ProbeFailureError",
     "ProblemFileData",
     "RateStudyResult",
+    "SizeLimitError",
     "SolveResult",
     "add",
     "apply_elliptic",

@@ -13,9 +13,9 @@ Subcommands:
 All numeric output is written with repr so reruns are byte identical;
 the only exception is the wall-time column of scaling.csv.  Exit codes:
 0 success, 1 failure, 2 problem-file or usage error (including out-of-range
-values), 3 the certified coefficient range does not fit the spectral bounds,
-4 ledger violation.  Any failure after output begins leaves a
-FAILED marker file in the output directory.
+values and solves refused by a size cap), 3 the certified coefficient range
+does not fit the spectral bounds, 4 ledger violation.  Any failure after
+output begins leaves a FAILED marker file in the output directory.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from .oracle import ProbeFailureError, _max_abs_frequency
 from .problem import diagonal_cosine_family
 from .problemfile import ParseError, build_problem, parse_problem_file
 from .sampler import MIN_TRIALS, ols_fit, rate_study
-from .solver import LedgerViolationError, solve
+from .solver import LedgerViolationError, SizeLimitError, solve
 from .validate import run_validation
 
 LEDGER_HEADER = (
@@ -299,6 +299,10 @@ def main(argv=None):
         code = args.handler(args, out)
     except (ParseError, FileNotFoundError) as exc:
         _write_lines(marker, [f"parse error: {exc}"])
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SizeLimitError as exc:
+        _write_lines(marker, [f"size limit: {exc}"])
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProbeFailureError as exc:

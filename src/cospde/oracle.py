@@ -6,6 +6,11 @@ check of the preconditioner, a quadrature check of the 1D screened
 Poisson kernel, and a certificate that proves the user's ellipticity
 bounds from the coefficients' atom masses (Gershgorin's theorem), with no
 grid and no sampling.
+
+The Galerkin reference is the package's only use of scipy (a CSR matrix
+and its conjugate gradient solver).  `galerkin_system` and `galerkin_solve`
+import it when they run, so importing the package, and every command that
+never builds a reference, loads numpy alone.
 """
 
 import math
@@ -13,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .atoms import (AtomSum, _distinct_rows, _h1_terms, _leading_sign, add, evaluate,
                     l2_norm_torus, scale)
@@ -132,6 +135,8 @@ def galerkin_system(p, truncation):
             rows.append(col + int(m @ strides))
             cols.append(col)
             vals.append(val)
+    import scipy.sparse
+
     matrix = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
@@ -160,6 +165,9 @@ def galerkin_solve(p, truncation):
         raise ValueError(
             f"truncation {truncation} too small: f has frequencies outside the span"
         )
+
+    import scipy.sparse
+    import scipy.sparse.linalg
 
     freqs, matrix, rhs = galerkin_system(p, truncation)
     ksq = np.einsum("ij,ij->i", freqs, freqs)

@@ -13,15 +13,19 @@ from typing import Optional
 
 import numpy as np
 
-from .atoms import AtomSum, add, h1_norm_torus, prune, scale
+from .atoms import MAX_FREQUENCY, AtomSum, add, h1_norm_torus, prune, scale
 from .calculus import apply_elliptic, precondition
-from .oracle import (GalerkinReference, default_truncation, ellipticity_probe, galerkin_solve,
-                     h1_distance)
+from .oracle import (GalerkinReference, _max_abs_frequency, default_truncation,
+                     ellipticity_probe, galerkin_solve, h1_distance)
 
 
 class LedgerViolationError(RuntimeError):
     """An iterate broke a bound the algebra guarantees; aborting is the only
     safe response since it means the computed representation is corrupt."""
+
+
+class SizeLimitError(ValueError):
+    """The planned solve would exceed a size cap; refused before any step."""
 
 
 def optimal_step(lam_min, lam_max):
@@ -251,6 +255,36 @@ class SolveResult:
 # reference by default; the reference's unknowns grow like (2K + 1)^d
 ORACLE_DIMENSION_CAP = 3
 
+# most unknowns (2K + 1)^d a Galerkin reference may have; the shipped and
+# tested boxes stay below 10^4
+ORACLE_MAX_UNKNOWNS = 10**6
+
+
+def _check_size(p, steps, truncation):
+    """Refuse a solve whose frequencies or reference box exceed their caps.
+
+    Each step shifts a frequency component by at most the coefficients'
+    largest one, so after T steps (and in the final residual L u_T - f) no
+    component exceeds max|f| + T max(max|A|, max|c|).  The reference box
+    |k|_inf <= K, when there is one, has (2K + 1)^d unknowns.
+    """
+    shift = max(_max_abs_frequency(s) for s in (p.c, *(e for row in p.a_entries for e in row)))
+    reach = _max_abs_frequency(p.f) + steps * shift
+    if reach > MAX_FREQUENCY:
+        raise SizeLimitError(
+            f"the {steps} planned steps can reach frequency component {reach}, beyond "
+            f"the representable +-{MAX_FREQUENCY}; lower the coefficient frequencies "
+            "or loosen epsilon"
+        )
+    if truncation is not None:
+        unknowns = (2 * truncation + 1) ** p.dimension
+        if unknowns > ORACLE_MAX_UNKNOWNS:
+            raise SizeLimitError(
+                f"the Galerkin reference box K={truncation} in dimension {p.dimension} has "
+                f"{unknowns} unknowns, above the cap of {ORACLE_MAX_UNKNOWNS}; "
+                "choose a smaller truncation with --oracle-K"
+            )
+
 
 def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation=None):
     """Run the planned number of optimal-step iterations from u0 = 0.
@@ -259,7 +293,9 @@ def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation
     pruning (spread evenly over the steps).  By default, up to dimension
     ORACLE_DIMENSION_CAP, every ledger row also records the exact H1
     distance to a Galerkin reference computed on a span containing every
-    frequency the iteration can reach.
+    frequency the iteration can reach.  A plan whose frequencies leave
+    +-MAX_FREQUENCY, or whose reference exceeds ORACLE_MAX_UNKNOWNS, raises
+    SizeLimitError before the first step.
     """
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -271,14 +307,15 @@ def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation
         compare_oracle = p.dimension <= ORACLE_DIMENSION_CAP
 
     steps, predicted_radius, predicted_norm = _plan(p, epsilon)
-    reference = None
+    truncation = None
     if compare_oracle:
         truncation = (
             int(oracle_truncation)
             if oracle_truncation is not None
             else default_truncation(p, steps)
         )
-        reference = galerkin_solve(p, truncation)
+    _check_size(p, steps, truncation)
+    reference = None if truncation is None else galerkin_solve(p, truncation)
 
     state = initial_state(p)
     if reference is not None:

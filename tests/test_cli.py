@@ -1,6 +1,9 @@
 """Command line behavior: outputs, exit codes, FAILED markers, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,8 @@ import cospde.validate as validate
 from cospde.atoms import AtomSum, from_text
 from cospde.solver import LedgerViolationError
 
-PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS_DIR = ROOT / "problems"
 IDENTITY = str(PROBLEMS_DIR / "identity_2d.txt")
 D1 = str(PROBLEMS_DIR / "d1_benchmark.txt")
 TARGET = str(PROBLEMS_DIR / "sampling_target.txt")
@@ -154,6 +158,34 @@ class TestFailures:
         assert "parse error" in marker
         assert "--oracle-K must be at least 3" in marker
         assert cli.main(["solve", str(cos3), "--oracle-K", "3", "--out", str(out)]) == 0
+
+    def test_oracle_box_over_cap_exit_2(self, tmp_path):
+        # A_ii = 2 + cos(100 x_i) at 1e-3 plans K = 1003: 8.1e9 unknowns
+        text = "dim 3\nlambda_min 1\nlambda_max 3\nepsilon 1e-3\n"
+        for i in range(3):
+            axis = " ".join("100" if j == i else "0" for j in range(3))
+            text += f"A {i + 1} {i + 1}\n2 0 0 0 0\n1 {axis} 0\nend\n"
+        text += "c\n1 0 0 0 0\nend\nf\n1 1 0 0 0\nend\n"
+        steep = tmp_path / "steep.txt"
+        steep.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(steep), "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "size limit" in marker
+        assert "8084294343 unknowns" in marker
+        assert "--oracle-K" in marker
+
+    def test_unreachable_frequency_growth_exit_2(self, tmp_path):
+        # A = 1 + cos(2^23 x)/4: 11 steps reach 1 + 11 * 2^23 > 2^24
+        high = tmp_path / "high.txt"
+        high.write_text("dim 1\nlambda_min 0.5\nlambda_max 1.5\nepsilon 1e-3\n"
+                        "A 1 1\n1 0 0\n0.25 8388608 0\nend\n"
+                        "c\n1 0 0\nend\nf\n1 1 0\nend\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(high), "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "size limit" in marker
+        assert "frequency component 92274689" in marker
 
     def test_missing_file_exit_2(self, tmp_path):
         out = tmp_path / "out"
@@ -339,3 +371,24 @@ class TestValidate:
         monkeypatch.setattr(atoms, "_merge", drifting_merge)
         with pytest.raises(AssertionError, match="changed the sum"):
             validate.check_canonical_idempotence()
+
+
+def test_scipy_is_loaded_only_by_the_oracle(tmp_path):
+    # a fresh interpreter: the test session itself has long imported scipy
+    script = f"""
+import sys
+import cospde, cospde.cli as cli
+out = {str(tmp_path)!r}
+assert cli.main(["scaling-report", "--dims", "1,2", "--out", out + "/scale"]) == 0
+assert cli.main(["rate-study", {TARGET!r}, "--widths", "16,32", "--trials", "30",
+                 "--out", out + "/rate"]) == 0
+print("scipy" in sys.modules)
+assert cli.main(["solve", {D1!r}, "--out", out + "/solve"]) == 0
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]

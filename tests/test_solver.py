@@ -1,17 +1,20 @@
 """Iteration, step planning, and the growth ledger."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cospde.solver as solver_module
 from cospde.atoms import AtomSum, add, h1_norm_torus, scale
-from cospde.oracle import galerkin_solve, h1_distance
+from cospde.calculus import apply_elliptic
+from cospde.oracle import _max_abs_frequency, default_truncation, galerkin_solve, h1_distance
 from cospde.problem import EllipticProblem, constant_sum
 from cospde.solver import (
     IterationState,
     LedgerViolationError,
+    SizeLimitError,
     _budget_threshold,
     _radius_within,
     cosine_ledger_bound,
@@ -330,3 +333,70 @@ class TestSolve:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             solve(d1_benchmark(), epsilon=0.0)
+
+
+def high_frequency_problem():
+    """d=1, A = 1 + cos(2^23 x)/4: 11 steps at 1e-3 carry frequencies far past 2^24."""
+    a = AtomSum.from_atoms([(1.0, (0.0,), 0.0), (0.25, (2.0**23,), 0.0)])
+    f = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
+    return EllipticProblem(((a,),), constant_sum(1, 1.0), f, 0.5, 1.5)
+
+
+def steep_d3_problem():
+    """d=3, A_ii = 2 + cos(100 x_i): the default reference box is K = 1003."""
+    zero = AtomSum.zero(3)
+    axes = np.eye(3)
+    diag = [AtomSum.from_atoms([(2.0, (0.0,) * 3, 0.0), (1.0, tuple(100.0 * axes[i]), 0.0)])
+            for i in range(3)]
+    a = tuple(tuple(diag[i] if i == j else zero for j in range(3)) for i in range(3))
+    f = AtomSum.from_atoms([(1.0, (1.0, 0.0, 0.0), 0.0)])
+    return EllipticProblem(a, constant_sum(3, 1.0), f, 1.0, 3.0)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("compare_oracle", [True, False])
+    def test_unreachable_frequency_growth_refused(self, compare_oracle):
+        p = high_frequency_problem()
+        assert main_theorem_predictor(p, 1e-3)[0] == 11
+        with pytest.raises(SizeLimitError, match="frequency component 92274689"):
+            solve(p, 1e-3, compare_oracle=compare_oracle)
+
+    def test_reach_is_the_largest_frequency_the_solve_computes(self, monkeypatch):
+        # unpruned, the final residual L u_T - f attains max|f| + T max|A| exactly
+        p = d1_benchmark()
+        result = solve(p, 1e-3, prune_enabled=False, compare_oracle=False)
+        reach = 1 + result.steps_planned
+        residual = add(apply_elliptic(p, result.u), scale(p.f, -1.0))
+        assert _max_abs_frequency(residual) == reach
+        monkeypatch.setattr(solver_module, "MAX_FREQUENCY", reach)
+        solve(p, 1e-3, prune_enabled=False, compare_oracle=False)
+        monkeypatch.setattr(solver_module, "MAX_FREQUENCY", reach - 1)
+        with pytest.raises(SizeLimitError):
+            solve(p, 1e-3, prune_enabled=False, compare_oracle=False)
+
+    def test_oracle_box_over_cap_refused_before_assembly(self, monkeypatch):
+        p = steep_d3_problem()
+        assert default_truncation(p, main_theorem_predictor(p, 1e-3)[0]) == 1003
+
+        def unexpected(*args):
+            raise AssertionError("the reference was assembled")
+
+        monkeypatch.setattr(solver_module, "galerkin_solve", unexpected)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="8084294343 unknowns"):
+                solve(p, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_oracle_cap_counts_the_whole_box(self, monkeypatch):
+        # identity_problem(2) at 1e-6: T = 1, K = 3, so 7^2 = 49 unknowns
+        p = identity_problem(2)
+        monkeypatch.setattr(solver_module, "ORACLE_MAX_UNKNOWNS", 49)
+        assert solve(p, 1e-6).reference is not None
+        monkeypatch.setattr(solver_module, "ORACLE_MAX_UNKNOWNS", 48)
+        with pytest.raises(SizeLimitError, match="49 unknowns"):
+            solve(p, 1e-6)
+        assert solve(p, 1e-6, compare_oracle=False).reference is None
