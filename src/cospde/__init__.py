@@ -11,6 +11,7 @@ reference.
 from .atoms import (
     Atom,
     AtomSum,
+    InputError,
     add,
     evaluate,
     from_text,
@@ -84,6 +85,7 @@ __all__ = [
     "AtomSum",
     "EllipticProblem",
     "GalerkinReference",
+    "InputError",
     "IterationState",
     "LedgerRecord",
     "LedgerViolationError",

@@ -33,6 +33,8 @@ finiteness and integrality) and cast there.
 Every sum is a trigonometric polynomial on the torus [0, 2*pi)^d under the
 normalized (mean) measure, and the Sobolev norms below are exact finite
 formulas.
+The function that uses a user value checks its range, once, and raises
+`InputError` (defined here, at the bottom of the imports); the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ PHASE_TOL = 1e-12
 MAX_FREQUENCY = 2**24
 
 _EVAL_CHUNK = 65536
+
+
+class InputError(ValueError):
+    """A user-supplied value is out of range or malformed."""
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,13 @@ Subcommands:
 
 All numeric output is written with repr so reruns are byte identical;
 the only exception is the wall-time column of scaling.csv.  Exit codes:
-0 success, 1 failure, 2 problem-file or usage error (including out-of-range
-values and solves refused by a size cap), 3 the certified coefficient range
-does not fit the spectral bounds, 4 ledger violation.  Any failure after
-output begins leaves a FAILED marker file in the output directory.
+0 success, 1 failure, 2 problem-file or usage error, 3 the certified
+coefficient range does not fit the spectral bounds, 4 ledger violation.
+Any failure after output begins leaves a FAILED marker file in the output
+directory.
+This module checks flag syntax only: the library function that uses a value
+checks its range and raises InputError (ParseError and SizeLimitError are
+InputErrors too), and every InputError exits 2.
 """
 
 import argparse
@@ -25,11 +28,11 @@ import sys
 import time
 from pathlib import Path
 
-from .atoms import to_text
-from .oracle import ProbeFailureError, _max_abs_frequency
+from .atoms import InputError, to_text
+from .oracle import ProbeFailureError
 from .problem import diagonal_cosine_family
 from .problemfile import ParseError, build_problem, parse_problem_file
-from .sampler import MIN_TRIALS, ols_fit, rate_study
+from .sampler import ols_fit, rate_study
 from .solver import LedgerViolationError, SizeLimitError, solve
 from .validate import run_validation
 
@@ -79,12 +82,6 @@ def _parse_int_list(text, flag):
     return values
 
 
-def _positive_epsilon(value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ParseError(0, f"epsilon must be positive and finite, got {value!r}")
-    return value
-
-
 def _workers():
     raw = os.environ.get("COSPDE_WORKERS", "1")
     try:
@@ -99,17 +96,8 @@ def _solve_problem(args, data):
     epsilon = args.epsilon if args.epsilon is not None else data.epsilon
     if epsilon is None:
         raise ParseError(0, "epsilon missing: set it in the file or pass --epsilon")
-    # the reference's box |k|_inf <= K must be nonempty and hold f
-    smallest_k = max(1, _max_abs_frequency(problem.f))
-    if args.oracle_K is not None and args.oracle_K < smallest_k:
-        raise ParseError(0, f"--oracle-K must be at least {smallest_k} to hold f's "
-                            f"frequencies, got {args.oracle_K}")
-    return problem, solve(
-        problem,
-        _positive_epsilon(epsilon),
-        prune_enabled=not args.no_prune,
-        oracle_truncation=args.oracle_K,
-    )
+    return problem, solve(problem, epsilon, prune_enabled=not args.no_prune,
+                          oracle_truncation=args.oracle_K)
 
 
 def cmd_solve(args, out):
@@ -164,8 +152,6 @@ def cmd_solve(args, out):
 
 def cmd_rate_study(args, out):
     widths = _parse_int_list(args.widths, "--widths")
-    if args.trials < MIN_TRIALS:
-        raise ParseError(0, f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     data = parse_problem_file(args.problem)
     target = data.g
     if target is None:
@@ -191,17 +177,12 @@ def cmd_rate_study(args, out):
 
 def cmd_scaling_report(args, out):
     dims = _parse_int_list(args.dims, "--dims")
-    epsilon = _positive_epsilon(args.epsilon)
     rows = []
     for d in dims:
         problem = diagonal_cosine_family(d)
         start = time.perf_counter()
-        result = solve(
-            problem,
-            epsilon,
-            prune_enabled=not args.no_prune,
-            compare_oracle=False,
-        )
+        result = solve(problem, args.epsilon, prune_enabled=not args.no_prune,
+                       compare_oracle=False)
         elapsed = time.perf_counter() - start
         final = result.state.ledger[-1]
         rows.append(
@@ -216,9 +197,13 @@ def cmd_scaling_report(args, out):
         )
     trailer = []
     if len(dims) >= 2:
-        ln_d = [math.log(r[0]) for r in rows]
-        fitted, _ = ols_fit(ln_d, [math.log(r[2]) for r in rows])
-        predictor, _ = ols_fit(ln_d, [math.log(r[3]) for r in rows])
+        # a row with T = 0 has norm and Y_T 0, which have no logarithm
+        fit = [r for r in rows if r[2] > 0.0 and r[3] > 0.0]
+        fitted = predictor = "degenerate"
+        if len(fit) >= 2:
+            ln_d = [math.log(r[0]) for r in fit]
+            fitted, _ = ols_fit(ln_d, [math.log(r[2]) for r in fit])
+            predictor, _ = ols_fit(ln_d, [math.log(r[3]) for r in fit])
         trailer = [("fitted_exponent", fitted), ("predictor_exponent", predictor)]
     _write_csv(
         out / "scaling.csv",
@@ -297,12 +282,12 @@ def main(argv=None):
     marker = out / "FAILED"
     try:
         code = args.handler(args, out)
-    except (ParseError, FileNotFoundError) as exc:
-        _write_lines(marker, [f"parse error: {exc}"])
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SizeLimitError as exc:
         _write_lines(marker, [f"size limit: {exc}"])
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (InputError, FileNotFoundError) as exc:
+        _write_lines(marker, [f"parse error: {exc}"])
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProbeFailureError as exc:

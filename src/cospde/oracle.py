@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .atoms import (AtomSum, _distinct_rows, _h1_terms, _leading_sign, add, evaluate,
-                    l2_norm_torus, scale)
+from .atoms import (AtomSum, InputError, _distinct_rows, _h1_terms, _leading_sign, add,
+                    evaluate, l2_norm_torus, scale)
 from .calculus import apply_elliptic, precondition
 
 TWO_PI = 2.0 * math.pi
@@ -76,6 +76,16 @@ class GalerkinReference:
 def default_truncation(p, steps):
     """Smallest per-axis cutoff containing every frequency T steps can reach."""
     return int(math.ceil(p.R_f + steps * max(p.R_A, p.R_c))) + 2
+
+
+def check_truncation(p, truncation):
+    """The reference box |k|_inf <= K as an int, checked nonempty and holding f."""
+    truncation = int(truncation)
+    smallest = max(1, _max_abs_frequency(p.f))
+    if truncation < smallest:
+        raise InputError(f"truncation {truncation} too small: --oracle-K must be at least "
+                         f"{smallest} to hold f's frequencies")
+    return truncation
 
 
 def _fourier_coefficients(s):
@@ -158,13 +168,7 @@ def galerkin_solve(p, truncation):
     truncated equation computed through the atom algebra (apply_elliptic),
     which checks the Fourier assembly independently.
     """
-    truncation = int(truncation)
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    if _max_abs_frequency(p.f) > truncation:
-        raise ValueError(
-            f"truncation {truncation} too small: f has frequencies outside the span"
-        )
+    truncation = check_truncation(p, truncation)
 
     import scipy.sparse
     import scipy.sparse.linalg

@@ -10,7 +10,16 @@ the matrix entries.
 
 import math
 
-from .atoms import AtomSum, h_minus1_norm_torus
+from .atoms import AtomSum, InputError, h_minus1_norm_torus
+
+
+def spectral_bounds(lam_min, lam_max):
+    """The bounds as floats, checked finite with 0 < lam_min <= lam_max."""
+    lam_min, lam_max = float(lam_min), float(lam_max)
+    if not (math.isfinite(lam_max) and 0.0 < lam_min <= lam_max):
+        raise InputError(f"spectral bounds must be finite with 0 < lam_min <= lam_max, "
+                         f"got ({lam_min}, {lam_max})")
+    return lam_min, lam_max
 
 
 def constant_sum(dimension, value):
@@ -65,18 +74,10 @@ class EllipticProblem:
                 if j < i and rows[i][j] != rows[j][i]:
                     raise ValueError(f"A[{i}][{j}] != A[{j}][{i}]: A must be symmetric")
 
-        lam_min = float(lam_min)
-        lam_max = float(lam_max)
-        if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
-            raise ValueError("spectral bounds must be finite")
-        if not 0.0 < lam_min <= lam_max:
-            raise ValueError(f"need 0 < lam_min <= lam_max, got ({lam_min}, {lam_max})")
-
+        self.lam_min, self.lam_max = spectral_bounds(lam_min, lam_max)
         self.a_entries = rows
         self.c = c
         self.f = f
-        self.lam_min = lam_min
-        self.lam_max = lam_max
         self.dimension = d
 
         flat = [rows[i][j] for i in range(d) for j in range(d)]

@@ -30,7 +30,7 @@ rate studies.  Directives: dim, lambda_min, lambda_max, epsilon, seed.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .atoms import AtomSum
+from .atoms import AtomSum, InputError
 from .calculus import from_fourier_data
 from .problem import EllipticProblem, constant_sum
 
@@ -43,7 +43,9 @@ _DIRECTIVES = {
 }
 
 
-class ParseError(RuntimeError):
+class ParseError(InputError):
+    """Bad problem-file or flag syntax at a line (0 for a flag)."""
+
     def __init__(self, line_number, message):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
@@ -223,7 +225,4 @@ def build_problem(data):
             if entry is None:
                 entry = one if i == j else zero
             rows[i][j] = entry
-    try:
-        return EllipticProblem(rows, data.c, data.f, data.lambda_min, data.lambda_max)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    return EllipticProblem(rows, data.c, data.f, data.lambda_min, data.lambda_max)

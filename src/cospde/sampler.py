@@ -17,10 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .atoms import AtomSum, add, from_text, h1_norm_torus, scale, to_text
+from .atoms import AtomSum, InputError, add, from_text, h1_norm_torus, scale, to_text
 
 # fewest trials per width for which a rate study reports an RMS error
 MIN_TRIALS = 30
+
+# largest width and most (width, trial) rows a rate study accepts: a trial
+# draws `width` uniforms at once, and the rows table holds every row
+MAX_WIDTH = 2**20
+MAX_ROWS = 10**6
 
 
 def sample_network(g, k, seed):
@@ -32,9 +37,9 @@ def sample_network(g, k, seed):
     """
     k = int(k)
     if k < 1:
-        raise ValueError("width must be at least 1")
+        raise InputError("width must be at least 1")
     if g.is_zero:
-        raise ValueError("cannot sample a network from the zero function")
+        raise InputError("cannot sample a network from the zero function")
     ell = g.tracked_norm
     rng = np.random.Generator(np.random.Philox(int(seed)))
     cumulative = np.cumsum(np.abs(g.amplitudes) / ell)
@@ -108,18 +113,23 @@ def rate_study(g, widths, trials, seed, workers=1):
 
     Trial t uses seed + t at every width, so widths share their random
     draws (paired comparisons); the result is deterministic in seed and
-    independent of the worker count.
+    independent of the worker count.  Out-of-range widths, trials or seed
+    raise InputError before the first draw.
     """
     widths = [int(k) for k in widths]
-    if not widths:
-        raise ValueError("widths must be nonempty")
-    if any(b <= a for a, b in zip(widths, widths[1:])):
-        raise ValueError("widths must be strictly increasing")
-    if min(widths) < 1:
-        raise ValueError("widths must be positive")
+    if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
+        raise InputError(f"widths must be nonempty and strictly increasing, got {widths}")
+    if not 1 <= widths[0] <= widths[-1] <= MAX_WIDTH:
+        raise InputError(f"widths must lie in [1, {MAX_WIDTH}], got {widths[0]}..{widths[-1]}")
     trials = int(trials)
     if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials per width")
+        raise InputError(f"need at least {MIN_TRIALS} trials per width, got {trials}")
+    if trials * len(widths) > MAX_ROWS:
+        raise InputError(f"{trials} trials at {len(widths)} widths exceed the cap of "
+                         f"{MAX_ROWS} rows")
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
 
     g_text = to_text(g)
     workers = worker_count(workers, len(widths))
@@ -133,11 +143,11 @@ def rate_study(g, widths, trials, seed, workers=1):
                     [g_text] * len(widths),
                     widths,
                     [trials] * len(widths),
-                    [int(seed)] * len(widths),
+                    [seed] * len(widths),
                 )
             )
     else:
-        per_width = [_width_errors(g_text, k, trials, int(seed)) for k in widths]
+        per_width = [_width_errors(g_text, k, trials, seed) for k in widths]
 
     rows = []
     summary = []

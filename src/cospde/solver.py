@@ -13,10 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .atoms import MAX_FREQUENCY, AtomSum, add, h1_norm_torus, prune, scale
+from .atoms import MAX_FREQUENCY, AtomSum, InputError, add, h1_norm_torus, prune, scale
 from .calculus import apply_elliptic, precondition
-from .oracle import (GalerkinReference, _max_abs_frequency, default_truncation,
-                     ellipticity_probe, galerkin_solve, h1_distance)
+from .oracle import (GalerkinReference, _max_abs_frequency, check_truncation,
+                     default_truncation, ellipticity_probe, galerkin_solve, h1_distance)
+from .problem import spectral_bounds
 
 
 class LedgerViolationError(RuntimeError):
@@ -24,18 +25,13 @@ class LedgerViolationError(RuntimeError):
     safe response since it means the computed representation is corrupt."""
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(InputError):
     """The planned solve would exceed a size cap; refused before any step."""
 
 
 def optimal_step(lam_min, lam_max):
     """Step size minimizing the contraction factor, and that factor."""
-    lam_min = float(lam_min)
-    lam_max = float(lam_max)
-    if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
-        raise ValueError("spectral bounds must be finite")
-    if not 0.0 < lam_min <= lam_max:
-        raise ValueError(f"need 0 < lam_min <= lam_max, got ({lam_min}, {lam_max})")
+    lam_min, lam_max = spectral_bounds(lam_min, lam_max)
     alpha = 2.0 / (lam_min + lam_max)
     factor = (lam_max - lam_min) / (lam_max + lam_min)
     return alpha, factor
@@ -65,8 +61,9 @@ def cosine_ledger_bound(p, alpha, norm_t):
     return growth_factor(p, alpha) * norm_t + alpha * p.ell_f
 
 
-def _plan(p, epsilon):
-    """(T, radius bound, tracked-norm bound) of a solve at epsilon.
+def main_theorem_predictor(p, epsilon):
+    """Planned (T, radius bound, tracked-norm bound) of a solve at epsilon,
+    the plan solve() runs; epsilon must lie in (0, 1/2).
 
     T targets epsilon/2, leaving the other half for pruning.  The radius
     bound sqrt(R^2 T^2) is the square root of an exact integer, correctly
@@ -76,6 +73,9 @@ def _plan(p, epsilon):
     alpha*ell_f*(q^T - 1)/(q - 1); the recursion is used so the prediction
     is the bitwise same value the ledger accumulates.
     """
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 0.5:
+        raise InputError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     alpha, _ = optimal_step(p.lam_min, p.lam_max)
     steps = iteration_count_bound(
         p.lam_min, p.lam_max, p.initial_error_bound(), 0.5 * epsilon
@@ -85,15 +85,6 @@ def _plan(p, epsilon):
     for _ in range(steps):
         y = q * y + alpha * p.ell_f
     return steps, math.sqrt(p.coeff_radius_sq * steps * steps), y
-
-
-def main_theorem_predictor(p, epsilon):
-    """Planned (T, radius bound, tracked-norm bound) for a solve at epsilon,
-    the same plan solve() makes."""
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    return _plan(p, epsilon)
 
 
 @dataclass
@@ -295,25 +286,22 @@ def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation
     distance to a Galerkin reference computed on a span containing every
     frequency the iteration can reach.  A plan whose frequencies leave
     +-MAX_FREQUENCY, or whose reference exceeds ORACLE_MAX_UNKNOWNS, raises
-    SizeLimitError before the first step.
+    SizeLimitError, and an epsilon outside (0, 1/2) or an oracle_truncation
+    that cannot hold f raises InputError, all before the first step.
     """
     epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be positive")
+    if oracle_truncation is not None:
+        oracle_truncation = check_truncation(p, oracle_truncation)
+    steps, predicted_radius, predicted_norm = main_theorem_predictor(p, epsilon)
     probe_estimates = ellipticity_probe(p)
     alpha, contraction = optimal_step(p.lam_min, p.lam_max)
 
     if compare_oracle is None:
         compare_oracle = p.dimension <= ORACLE_DIMENSION_CAP
 
-    steps, predicted_radius, predicted_norm = _plan(p, epsilon)
     truncation = None
     if compare_oracle:
-        truncation = (
-            int(oracle_truncation)
-            if oracle_truncation is not None
-            else default_truncation(p, steps)
-        )
+        truncation = oracle_truncation or default_truncation(p, steps)
     _check_size(p, steps, truncation)
     reference = None if truncation is None else galerkin_solve(p, truncation)
 

@@ -20,6 +20,12 @@ IDENTITY = str(PROBLEMS_DIR / "identity_2d.txt")
 D1 = str(PROBLEMS_DIR / "d1_benchmark.txt")
 TARGET = str(PROBLEMS_DIR / "sampling_target.txt")
 
+NEGATIVE_SEED = "dim 1\nseed -3\ng\n1 1 0\nend\n"
+# rate-study inputs with nothing to sample: an empty g block, and an implicit
+# solve of f = 0, whose solution is 0
+ZERO_G = "dim 1\ng\nend\n"
+ZERO_F = "dim 1\nlambda_min 1\nlambda_max 1\nepsilon 1e-2\nc\n1 0 0\nend\nf\nend\n"
+
 
 def read(path):
     return Path(path).read_bytes()
@@ -238,8 +244,20 @@ class TestFailures:
         ["rate-study", TARGET, "--widths", "16,0"],
         ["scaling-report", "--epsilon", "0"],
         ["scaling-report", "--dims", "0,1"],
+        ["solve", D1, "--epsilon", "0.5"],
+        ["scaling-report", "--epsilon", "0.5"],
+        ["rate-study", TARGET, "--seed", "-1"],
+        ["rate-study", NEGATIVE_SEED],
+        ["rate-study", TARGET, "--widths", "16,4294967296"],
+        ["rate-study", TARGET, "--widths", "16,32", "--trials", "500001"],
+        ["rate-study", ZERO_G],
+        ["rate-study", ZERO_F],
     ])
     def test_bad_flag_values_exit_2(self, tmp_path, argv):
+        if "\n" in argv[1]:  # a problem text: run it from a file
+            problem = tmp_path / "problem.txt"
+            problem.write_text(argv[1])
+            argv = [argv[0], str(problem), *argv[2:]]
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert "parse error" in (out / "FAILED").read_text()
@@ -343,6 +361,21 @@ class TestScalingReport:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert strip_time(a / "scaling.csv") == strip_time(b / "scaling.csv")
+
+    def test_fit_skips_rows_without_steps(self, tmp_path):
+        # at d = 64 the initial error 1/8 is below epsilon/2, so T = 0 and the
+        # row's norm and Y_T are 0: the exponents are fitted over d = 1, 2
+        def trailer(dims):
+            out = tmp_path / dims
+            assert cli.main(["scaling-report", "--out", str(out), "--dims", dims,
+                             "--epsilon", "0.4"]) == 0
+            lines = (out / "scaling.csv").read_text().splitlines()
+            assert not (out / "FAILED").exists()
+            return lines[-2:]
+
+        assert trailer("1,2,64") == trailer("1,2")
+        assert trailer("1,64") == ["fitted_exponent,degenerate",
+                                   "predictor_exponent,degenerate"]
 
     def test_dims_must_increase(self, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cospde.atoms import AtomSum, add, h1_norm_torus, scale
+from cospde.atoms import AtomSum, InputError, add, h1_norm_torus, scale
 from cospde.oracle import (
     GalerkinReference,
     ProbeFailureError,
@@ -72,6 +72,12 @@ class TestGalerkinSolve:
         p5 = EllipticProblem(p.a_entries, p.c, f5, 1.0, 1.0)
         with pytest.raises(ValueError, match="too small"):
             galerkin_solve(p5, truncation=3)
+
+    def test_truncation_errors_are_input_errors(self):
+        p = d1_benchmark()
+        for k in (0, -1):
+            with pytest.raises(InputError, match="--oracle-K must be at least 1"):
+                galerkin_solve(p, truncation=k)
 
     def test_constant_coefficients_match_closed_form(self):
         # with constant A and c each mode decouples: u(k) = f(k) / (k^T A k + c)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cospde.atoms import AtomSum
+from cospde.atoms import AtomSum, InputError
 from cospde.problem import (
     EllipticProblem,
     constant_sum,
@@ -67,6 +67,12 @@ class TestValidation:
             EllipticProblem(mat, one, one, 2.0, 1.0)
         with pytest.raises(ValueError):
             EllipticProblem(mat, one, one, 1.0, math.inf)
+
+    def test_bad_spectral_bounds_are_input_errors(self):
+        one = constant_sum(1, 1.0)
+        for lam in [(0.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+            with pytest.raises(InputError, match="lam_min <= lam_max"):
+                EllipticProblem(((one,),), one, one, *lam)
 
     def test_mixed_dimension_rejected(self):
         one1 = constant_sum(1, 1.0)

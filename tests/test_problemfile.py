@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import d1_benchmark, d2_benchmark
-from cospde.atoms import AtomSum
+from cospde.atoms import AtomSum, InputError
 from cospde.problem import constant_sum
 from cospde.problemfile import (
     ParseError,
@@ -131,6 +131,18 @@ class TestParsing:
 
 
 class TestParseErrors:
+    def test_parse_and_size_errors_are_input_errors(self):
+        from cospde.solver import SizeLimitError
+
+        assert issubclass(ParseError, InputError)
+        assert issubclass(SizeLimitError, InputError)
+        assert issubclass(InputError, ValueError)
+
+    def test_bad_spectral_bounds_raise_from_the_problem(self):
+        text = "dim 1\nlambda_min 3\nlambda_max 1\nc\n1 0 0\nend\nf\n1 1 0\nend\n"
+        with pytest.raises(InputError, match="lam_min <= lam_max"):
+            build_problem(parse_problem_text(text))
+
     def expect(self, text, line, fragment):
         with pytest.raises(ParseError) as err:
             build_problem(parse_problem_text(text))

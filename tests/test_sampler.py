@@ -5,12 +5,15 @@ import concurrent.futures
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cospde.atoms import AtomSum, add, evaluate
+from cospde.atoms import AtomSum, InputError, add, evaluate
 from cospde.sampler import (
+    MAX_ROWS,
+    MAX_WIDTH,
     h1_error_exact,
     ols_fit,
     rate_study,
@@ -202,6 +205,31 @@ class TestRateStudy:
         assert sizes == ([expected] if expected > 1 else [])
         serial = rate_study(g, [16, 64], trials=30, seed=9)
         assert capped.rows == serial.rows
+
+    def test_bad_values_are_input_errors(self):
+        g = ten_atom_target()
+        with pytest.raises(InputError, match="seed"):
+            rate_study(g, [16, 32], trials=30, seed=-1)
+        with pytest.raises(InputError, match="trials"):
+            rate_study(g, [16, 32], trials=29, seed=0)
+        with pytest.raises(InputError, match="zero function"):
+            sample_network(AtomSum.zero(2), 4, seed=0)
+
+    @pytest.mark.parametrize("widths, trials", [
+        ([16, MAX_WIDTH + 1], 30),
+        ([16, 2**32], 30),
+        ([16, 32], MAX_ROWS // 2 + 1),
+    ])
+    def test_caps_refuse_before_the_first_draw(self, widths, trials):
+        g = ten_atom_target()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"cap|{MAX_WIDTH}"):
+                rate_study(g, widths, trials=trials, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_ols_fit_matches_closed_form(self):
         assert ols_fit([1.0, 2.0, 3.0], [1.0, 3.0, 5.0]) == (2.0, 0.0)

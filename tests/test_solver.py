@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cospde.solver as solver_module
-from cospde.atoms import AtomSum, add, h1_norm_torus, scale
+from cospde.atoms import AtomSum, InputError, add, h1_norm_torus, scale
 from cospde.calculus import apply_elliptic
 from cospde.oracle import _max_abs_frequency, default_truncation, galerkin_solve, h1_distance
 from cospde.problem import EllipticProblem, constant_sum
@@ -124,6 +124,25 @@ class TestMainTheoremPredictor:
         for eps in (0.0, 0.5, 1.0, -0.1):
             with pytest.raises(ValueError):
                 main_theorem_predictor(p, eps)
+
+    def test_solve_and_predictor_share_the_epsilon_rule(self):
+        p = identity_problem(1)
+        for eps in (0.0, 0.5, 0.9, -0.1, math.nan, math.inf):
+            with pytest.raises(InputError, match=r"\(0, 1/2\)"):
+                main_theorem_predictor(p, eps)
+            with pytest.raises(InputError, match=r"\(0, 1/2\)"):
+                solve(p, eps)
+
+    def test_oracle_truncation_checked_without_a_reference(self):
+        # d = 4 runs no reference, yet a truncation that cannot hold f is refused
+        p = identity_problem(4)
+        with pytest.raises(InputError, match="--oracle-K must be at least 1"):
+            solve(p, 1e-2, oracle_truncation=0)
+        assert solve(p, 1e-2, oracle_truncation=1).reference is None
+
+    def test_bad_bounds_are_input_errors(self):
+        with pytest.raises(InputError):
+            optimal_step(1.0, 0.5)
 
 
 class TestStep:
