@@ -13,7 +13,9 @@ norm accounting, and merging are deterministic:
   ordered lexicographically by frequency, and zero amplitudes are dropped.
 
 Merging is one vectorised pass over all terms (`_merge`), with no Python loop
-over frequencies.  Within one frequency:
+over frequencies: a single sort keyed on the sign-normalized frequency row
+itself (its components, then phase and amplitude) brings each frequency's
+terms together in canonical order.  Within one frequency:
 
 * phases that agree within PHASE_TOL form a cluster whose amplitudes add
   directly, and phases a half-turn apart subtract, so b and b + pi cancel to
@@ -99,15 +101,18 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], index
 
 
-def _merge(keys: np.ndarray, amps: np.ndarray, phases: np.ndarray):
-    """Merge atoms that share a frequency key, for phases in [0, 2*pi).
+def _merge(rows: np.ndarray, amps: np.ndarray, phases: np.ndarray):
+    """Merge atoms that share a frequency row, for phases in [0, 2*pi).
 
-    Returns (rows, amplitudes, phases) of the merged atoms in key order, where
-    `rows` indexes one member of each, which supplies its frequency.  The
-    rules are in the module docstring; the steps are:
+    `rows` are the sign-normalized int64 frequency rows, so equal rows are
+    one cosine frequency.  Returns (index, amplitudes, phases) of the merged
+    atoms in lexicographic row order, where `index` picks one member of each,
+    which supplies its frequency.  The rules are in the module docstring; the
+    steps are:
 
     1. fold each phase into [0, pi) (a cos(y + b) equals -a cos(y + b - pi))
-       and sort once by (key, folded phase, side of pi, amplitude);
+       and sort once by (row, folded phase, side of pi, amplitude), with the
+       row's components as the leading sort keys;
     2. cut the sorted terms into frequency groups, each group into phase
        clusters wherever consecutive folded phases differ by more than
        PHASE_TOL, and each cluster into runs on one side of pi;
@@ -122,13 +127,13 @@ def _merge(keys: np.ndarray, amps: np.ndarray, phases: np.ndarray):
     n = len(amps)
     upper = phases >= math.pi
     folded = phases - math.pi * upper
-    order = np.lexsort((amps, upper, folded, keys))
-    sorted_keys = keys[order]
+    order = np.lexsort((amps, upper, folded) + tuple(rows.T[::-1]))
+    sorted_rows = rows[order]
     # boundary flags with a sentinel at n, so flag positions are both the
     # starts of the runs and the ends of the runs before them
     new_group = np.empty(n + 1, dtype=bool)
     new_group[0] = new_group[n] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:n])
+    np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=new_group[1:n])
     if new_group.all():  # no frequency repeats: nothing to merge
         order = order[amps[order] != 0.0]  # a constant a*cos(b) can round to 0
         return order, amps[order], phases[order]
@@ -224,17 +229,17 @@ def _canonicalize_arrays(
         return amps, freqs, phases
 
     # cosine is even: (w, b) and (-w, -b) are one atom, and a zero-frequency
-    # atom is the constant a cos(b); rows equal up to sign share a key, and
-    # keys order the sign-normalized rows lexicographically
+    # atom is the constant a cos(b); rows equal up to sign are equal once
+    # sign-normalized
     sign = _leading_sign(freqs)
-    _, keys = _distinct_rows(freqs * sign[:, None])
+    rows = freqs * sign[:, None]
     constant = sign == 0
     if constant.any():
         amps = np.where(constant, amps * np.cos(phases), amps)
     phases = _reduce_phases(phases * sign)
 
-    rows, amps, phases = _merge(keys, amps, phases)
-    return amps, freqs[rows] * sign[rows, None], phases
+    index, amps, phases = _merge(rows, amps, phases)
+    return amps, rows[index], phases
 
 
 class AtomSum:
@@ -245,12 +250,14 @@ class AtomSum:
     l1 mass sum(|a_i|) of the stored representation, an upper bound for the
     underlying function's atomic norm, never a claimed infimum.
     `support_radius` is the largest Euclidean frequency norm and
-    `support_radius_sq` its square, an exact integer.  `frequencies` is an
-    int64 array: frequencies given to the constructor are checked (integers
-    within +-MAX_FREQUENCY) and cast.
+    `support_radius_sq` its square, an exact integer.  Both norms are
+    computed on first read and cached, since most intermediate sums of a
+    solve are never asked for them.  `frequencies` is an int64 array:
+    frequencies given to the constructor are checked (integers within
+    +-MAX_FREQUENCY) and cast.
     """
 
-    __slots__ = ("_d", "_amps", "_freqs", "_phases", "_tracked", "_radius_sq", "_radius")
+    __slots__ = ("_d", "_amps", "_freqs", "_phases", "_tracked", "_radius_sq")
 
     def __init__(self, dimension: int, torus_mode: bool, amps, freqs, phases):
         # The torus is the only space.  The flag stays as the second of five
@@ -271,9 +278,8 @@ class AtomSum:
         self._amps = a
         self._freqs = w
         self._phases = b
-        self._tracked = math.fsum(np.abs(a).tolist()) if a.size else 0.0
-        self._radius_sq = float(np.max(np.einsum("ij,ij->i", w, w))) if a.size else 0.0
-        self._radius = math.sqrt(self._radius_sq)
+        self._tracked = None
+        self._radius_sq = None
 
     @classmethod
     def _trusted(cls, d: int, amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray) -> "AtomSum":
@@ -339,14 +345,19 @@ class AtomSum:
 
     @property
     def tracked_norm(self) -> float:
+        if self._tracked is None:
+            self._tracked = math.fsum(np.abs(self._amps).tolist())
         return self._tracked
 
     @property
     def support_radius(self) -> float:
-        return self._radius
+        return math.sqrt(self.support_radius_sq)
 
     @property
     def support_radius_sq(self) -> float:
+        if self._radius_sq is None:
+            w = self._freqs
+            self._radius_sq = float(np.einsum("ij,ij->i", w, w).max(initial=0))
         return self._radius_sq
 
     @property
@@ -385,7 +396,7 @@ class AtomSum:
         return hash((self._d, self._amps.tobytes(), self._freqs.tobytes(), self._phases.tobytes()))
 
     def __repr__(self) -> str:
-        return f"AtomSum(d={self._d}, atoms={self.atom_count}, tracked_norm={self._tracked:.6g})"
+        return f"AtomSum(d={self._d}, atoms={self.atom_count}, tracked_norm={self.tracked_norm:.6g})"
 
 
 def add(s1: AtomSum, s2: AtomSum) -> AtomSum:

@@ -30,12 +30,20 @@ def product(s1: AtomSum, s2: AtomSum) -> AtomSum:
     expanded over all atom pairs and canonicalized.  The pre-merge expansion
     carries mass exactly tracked_norm(s1) * tracked_norm(s2); merging can only
     shrink it, so tracked norms are submultiplicative.
+
+    When either factor is a pure constant c0 (a single zero-frequency atom),
+    the product is atom-wise, (a, w, b) -> (c0 a, w, b), with no merge: the
+    pair rule's two terms (c0 a/2, w, b) and (c0 a/2, -w, -b) are one atom
+    and would merge to exactly c0 a (up to rounding when c0 a is subnormal).
     """
     d = s1.dimension
     if s2.dimension != d:
         raise ValueError("dimension mismatch")
     if s1.is_zero or s2.is_zero:
         return AtomSum.zero(d)
+    for c, s in ((s1, s2), (s2, s1)):
+        if c.atom_count == 1 and not c.frequencies.any():
+            return s._rephased(s.amplitudes * c.amplitudes[0], 0.0)
     half = 0.5 * np.multiply.outer(s1.amplitudes, s2.amplitudes).ravel()
     w_plus = (s1.frequencies[:, None, :] + s2.frequencies[None, :, :]).reshape(-1, d)
     w_minus = (s1.frequencies[:, None, :] - s2.frequencies[None, :, :]).reshape(-1, d)

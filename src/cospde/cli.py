@@ -177,9 +177,10 @@ def cmd_rate_study(args, out):
 
 def cmd_scaling_report(args, out):
     dims = _parse_int_list(args.dims, "--dims")
+    # every dimension is checked before the first solve
+    problems = [diagonal_cosine_family(d) for d in dims]
     rows = []
-    for d in dims:
-        problem = diagonal_cosine_family(d)
+    for d, problem in zip(dims, problems):
         start = time.perf_counter()
         result = solve(problem, args.epsilon, prune_enabled=not args.no_prune,
                        compare_oracle=False)

@@ -13,6 +13,19 @@ import math
 from .atoms import AtomSum, InputError, h_minus1_norm_torus
 
 
+# largest problem dimension: a problem holds a d x d matrix of coefficient
+# sums and checks its symmetry pairwise, O(d^2) work before any step
+MAX_DIMENSION = 128
+
+
+def check_dimension(dimension):
+    """The dimension as an int, checked to lie in [1, MAX_DIMENSION]."""
+    d = int(dimension)
+    if not 1 <= d <= MAX_DIMENSION:
+        raise InputError(f"dimension must lie in [1, {MAX_DIMENSION}], got {d}")
+    return d
+
+
 def spectral_bounds(lam_min, lam_max):
     """The bounds as floats, checked finite with 0 < lam_min <= lam_max."""
     lam_min, lam_max = float(lam_min), float(lam_max)
@@ -109,9 +122,7 @@ def diagonal_cosine_family(dimension):
     [1/2, 3/2] for every dimension, so the spectral bounds are
     dimension independent while the data spreads over all axes.
     """
-    d = int(dimension)
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = check_dimension(dimension)
 
     def axis_freq(i):
         return tuple(1.0 if j == i else 0.0 for j in range(d))

@@ -24,7 +24,8 @@ A file is a sequence of `key value` directives and atom blocks:
 Frequencies are integer vectors: every problem lives on the torus
 [0, 2*pi)^d.  Unspecified A entries default to the constant 1 on the
 diagonal and 0 off it.  An optional `g` block names a sampling target for
-rate studies.  Directives: dim, lambda_min, lambda_max, epsilon, seed.
+rate studies.  Directives: dim (at most problem.MAX_DIMENSION), lambda_min,
+lambda_max, epsilon, seed.
 """
 
 from dataclasses import dataclass, field
@@ -32,10 +33,10 @@ from typing import Optional
 
 from .atoms import AtomSum, InputError
 from .calculus import from_fourier_data
-from .problem import EllipticProblem, constant_sum
+from .problem import EllipticProblem, check_dimension, constant_sum
 
 _DIRECTIVES = {
-    "dim": int,
+    "dim": check_dimension,
     "lambda_min": float,
     "lambda_max": float,
     "epsilon": float,
@@ -132,6 +133,8 @@ def parse_problem_text(text):
                 raise ParseError(number, f"duplicate directive {head}")
             try:
                 directives[head] = _DIRECTIVES[head](parts[1])
+            except InputError as exc:
+                raise ParseError(number, str(exc)) from None
             except ValueError:
                 raise ParseError(number, f"bad value for {head}: {parts[1]}") from None
             continue
@@ -179,8 +182,6 @@ def parse_problem_text(text):
     if "dim" not in directives:
         raise ParseError(len(lines) or 1, "missing required directive: dim")
     dimension = directives["dim"]
-    if dimension < 1:
-        raise ParseError(1, "dim must be positive")
 
     data = ProblemFileData(dimension=dimension)
     data.lambda_min = directives.get("lambda_min")

@@ -29,6 +29,11 @@ class SizeLimitError(InputError):
     """The planned solve would exceed a size cap; refused before any step."""
 
 
+# most steps a solve may plan; the shipped problems plan at most 24 and the
+# tests at most 114, while lambda_min -> 0 sends the plan past 10^11
+MAX_STEPS = 10**5
+
+
 def optimal_step(lam_min, lam_max):
     """Step size minimizing the contraction factor, and that factor."""
     lam_min, lam_max = spectral_bounds(lam_min, lam_max)
@@ -71,7 +76,8 @@ def main_theorem_predictor(p, epsilon):
     iterates the growth recursion Y_{t+1} = q Y_t + alpha ell_f from
     Y_0 = 0, which telescopes to the closed geometric form
     alpha*ell_f*(q^T - 1)/(q - 1); the recursion is used so the prediction
-    is the bitwise same value the ledger accumulates.
+    is the bitwise same value the ledger accumulates.  A T above MAX_STEPS
+    raises SizeLimitError before the recursion runs.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 0.5:
@@ -80,6 +86,11 @@ def main_theorem_predictor(p, epsilon):
     steps = iteration_count_bound(
         p.lam_min, p.lam_max, p.initial_error_bound(), 0.5 * epsilon
     )
+    if steps > MAX_STEPS:
+        raise SizeLimitError(
+            f"the plan needs {steps} steps, above the cap of {MAX_STEPS}; "
+            "raise lambda_min or loosen epsilon"
+        )
     q = growth_factor(p, alpha)
     y = 0.0
     for _ in range(steps):
@@ -284,10 +295,11 @@ def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation
     pruning (spread evenly over the steps).  By default, up to dimension
     ORACLE_DIMENSION_CAP, every ledger row also records the exact H1
     distance to a Galerkin reference computed on a span containing every
-    frequency the iteration can reach.  A plan whose frequencies leave
-    +-MAX_FREQUENCY, or whose reference exceeds ORACLE_MAX_UNKNOWNS, raises
-    SizeLimitError, and an epsilon outside (0, 1/2) or an oracle_truncation
-    that cannot hold f raises InputError, all before the first step.
+    frequency the iteration can reach.  A plan of more than MAX_STEPS steps,
+    or whose frequencies leave +-MAX_FREQUENCY, or whose reference exceeds
+    ORACLE_MAX_UNKNOWNS, raises SizeLimitError, and an epsilon outside
+    (0, 1/2) or an oracle_truncation that cannot hold f raises InputError,
+    all before the first step.
     """
     epsilon = float(epsilon)
     if oracle_truncation is not None:

@@ -16,6 +16,12 @@ def scalar_eval(s: AtomSum, x) -> float:
     return math.fsum(terms)
 
 
+def bitwise_equal(s1: AtomSum, s2: AtomSum) -> bool:
+    """Same amplitudes, frequencies and phases, bit for bit."""
+    return all(x.tobytes() == y.tobytes() for x, y in (
+        (s1.amplitudes, s2.amplitudes), (s1.frequencies, s2.frequencies), (s1.phases, s2.phases)))
+
+
 def torus_grid(d: int, n: int) -> np.ndarray:
     """Uniform periodic grid on [0, 2*pi)^d, flattened to (n**d, d)."""
     axis = np.arange(n) * (2.0 * math.pi / n)

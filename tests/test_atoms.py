@@ -8,6 +8,10 @@ import pytest
 from cospde.atoms import (
     Atom,
     AtomSum,
+    _distinct_rows,
+    _leading_sign,
+    _merge,
+    _reduce_phases,
     add,
     evaluate,
     from_text,
@@ -19,7 +23,7 @@ from cospde.atoms import (
     to_text,
 )
 from cospde.calculus import partial_derivative, precondition, product, second_derivative
-from conftest import h1_norm_quadrature, random_sum, scalar_eval
+from conftest import bitwise_equal, h1_norm_quadrature, random_sum, scalar_eval
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,11 +150,6 @@ def _product_terms(rng, n1, n2, d, generic_phases):
     return amps, freqs, phs
 
 
-def _bitwise_equal(s1, s2):
-    return all(x.tobytes() == y.tobytes() for x, y in (
-        (s1.amplitudes, s2.amplitudes), (s1.frequencies, s2.frequencies), (s1.phases, s2.phases)))
-
-
 class TestMergeKernel:
     def test_phases_near_zero_and_two_pi_merge_across_the_wrap(self):
         s = AtomSum.from_atoms([(1.0, (3.0,), 1e-13), (2.0, (3.0,), TWO_PI - 1e-13)])
@@ -187,7 +186,7 @@ class TestMergeKernel:
         s = AtomSum(3, True, amps, freqs, phases)
         for _ in range(3):
             perm = rng.permutation(len(amps))
-            assert _bitwise_equal(AtomSum(3, True, amps[perm], freqs[perm], phases[perm]), s)
+            assert bitwise_equal(AtomSum(3, True, amps[perm], freqs[perm], phases[perm]), s)
 
     @pytest.mark.parametrize("generic_phases", [False, True])
     def test_tracked_norm_at_most_premerge_mass(self, generic_phases):
@@ -226,7 +225,96 @@ class TestMergeKernel:
         s = random_sum(rng, 3, 6000, max_freq=8)
         assert s.atom_count >= 2000
         rebuilt = AtomSum.from_atoms(s.atoms, dimension=3)
-        assert _bitwise_equal(rebuilt, s)
+        assert bitwise_equal(rebuilt, s)
+
+
+def _merge_inputs(amps, freqs, phases):
+    """What the constructor hands to `_merge`: the nonzero terms with their
+    sign-normalized int64 rows, constants folded to a cos(b) at phase 0, and
+    phases reduced into [0, 2*pi)."""
+    amps, phases = np.asarray(amps, dtype=np.float64), np.asarray(phases, dtype=np.float64)
+    keep = amps != 0.0
+    amps, freqs, phases = amps[keep], np.asarray(freqs)[keep].astype(np.int64), phases[keep]
+    sign = _leading_sign(freqs)
+    amps = np.where(sign == 0, amps * np.cos(phases), amps)
+    return freqs * sign[:, None], amps, _reduce_phases(phases * sign)
+
+
+def _two_sort_merge(rows, amps, phases):
+    """Reference merge with two sorts: rank the rows lexicographically (one
+    lexsort), then merge on the rank.  A one-column row is its own sort key
+    and group key, so `_merge` given the rank column sorts on (rank, folded
+    phase, side of pi, amplitude) and cuts groups where the rank changes:
+    the rank-keyed merge, step for step."""
+    _, rank = _distinct_rows(rows)
+    return _merge(rank[:, None], amps, phases)
+
+
+def _wrapping_terms(rng, n, d):
+    """Terms on a few frequencies with phases within 1e-13 of 0 and 2*pi."""
+    pool = rng.integers(-2, 3, size=(4, d))
+    rows = pool[rng.integers(0, 4, n)] * rng.choice([-1, 1], size=(n, 1))
+    eps = rng.uniform(0.0, 1e-13, n)
+    phases = np.where(rng.random(n) < 0.5, eps, TWO_PI - eps)
+    return rng.uniform(-1.0, 1.0, n), rows, phases
+
+
+class TestOneSortMerge:
+    """`_merge` sorts once, on the rows themselves, and must give bit for bit
+    what ranking the rows first and merging on the rank gave."""
+
+    def check(self, amps, freqs, phases):
+        rows, a, b = _merge_inputs(amps, freqs, phases)
+        got, want = _merge(rows, a, b), _two_sort_merge(rows, a, b)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        return len(got[0])
+
+    @pytest.mark.parametrize("generic_phases", [False, True])
+    def test_product_terms(self, generic_phases):
+        rng = np.random.default_rng(70)
+        amps, freqs, phases = _product_terms(rng, 400, 13, 3, generic_phases)
+        assert self.check(amps, freqs, phases) < len(amps)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_random_terms_with_repeated_frequencies(self, d):
+        rng = np.random.default_rng(71 + d)
+        n = 600
+        pool = rng.integers(-2, 3, size=(40, d))
+        pool[0] = 0  # the constant
+        freqs = pool[rng.integers(0, 40, n)] * rng.choice([-1, 1], size=(n, 1))
+        phases = rng.integers(0, 4, n) * (math.pi / 2) + rng.choice([0.0, 0.3, 5.0], n)
+        amps = rng.uniform(-1.0, 1.0, n)
+        amps[rng.random(n) < 0.05] = 0.0
+        assert self.check(amps, freqs, phases) < n
+
+    @pytest.mark.parametrize("b", [0.0, 0.25, 3.0, 4.5, TWO_PI - 1e-13])
+    def test_b_and_b_plus_pi_duplicates(self, b):
+        rng = np.random.default_rng(72)
+        a = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-6, 3, 200)
+        rows = rng.integers(-1, 2, size=(200, 2))
+        perm = rng.permutation(400)
+        amps = np.concatenate([a, a])[perm]
+        freqs = np.concatenate([rows, -rows])[perm]
+        phases = np.concatenate([np.full(200, b), np.full(200, b + math.pi)])[perm]
+        self.check(amps, freqs, phases)
+        self.check(np.concatenate([amps, [1.0]]), np.concatenate([freqs, [[3, 3]]]),
+                   np.concatenate([phases, [b]]))
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_phases_wrapping_around_two_pi(self, d):
+        amps, freqs, phases = _wrapping_terms(np.random.default_rng(73 + d), 300, d)
+        assert self.check(amps, freqs, phases) < len(amps)
+
+    def test_constructor_frequencies_are_the_normalized_rows(self):
+        rng = np.random.default_rng(74)
+        amps, freqs, phases = _product_terms(rng, 50, 7, 2, generic_phases=False)
+        rows, a, b = _merge_inputs(amps, freqs, phases)
+        index, want_a, want_b = _two_sort_merge(rows, a, b)
+        s = AtomSum(2, True, amps, freqs, phases)
+        assert s.frequencies.tobytes() == rows[index].tobytes()
+        assert s.amplitudes.tobytes() == want_a.tobytes()
+        assert s.phases.tobytes() == want_b.tobytes()
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cospde.atoms import AtomSum, add, evaluate, scale
+from cospde.atoms import AtomSum, add, evaluate, prune, scale
 from cospde.calculus import (
     apply_elliptic,
     from_fourier_data,
@@ -15,7 +15,8 @@ from cospde.calculus import (
     second_derivative,
 )
 from cospde.problem import EllipticProblem
-from conftest import identity_problem, random_sum, scalar_eval
+from cospde.sampler import sample_network
+from conftest import bitwise_equal, identity_problem, random_sum, scalar_eval
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +91,97 @@ class TestProduct:
     def test_zero_factor_gives_zero(self):
         s = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
         assert product(s, AtomSum.zero(1)).is_zero
+
+
+def expanded_product(s1, s2):
+    """The pair rule's raw expansion of s1 * s2, canonicalized by the
+    constructor: the product without any shortcut."""
+    d = s1.dimension
+    half = 0.5 * np.multiply.outer(s1.amplitudes, s2.amplitudes).ravel()
+    w_plus = (s1.frequencies[:, None, :] + s2.frequencies[None, :, :]).reshape(-1, d)
+    w_minus = (s1.frequencies[:, None, :] - s2.frequencies[None, :, :]).reshape(-1, d)
+    b_plus = (s1.phases[:, None] + s2.phases[None, :]).ravel()
+    b_minus = (s1.phases[:, None] - s2.phases[None, :]).ravel()
+    return AtomSum(d, True, np.concatenate([half, half]), np.concatenate([w_plus, w_minus]),
+                   np.concatenate([b_plus, b_minus]))
+
+
+class TestProductWithConstant:
+    """A factor that is one zero-frequency atom multiplies atom-wise; the
+    result must be the merged pair-rule expansion bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("c0", [2.0, -2.0, 0.1, -0.75, 1.0 / 3.0, 1e-150, -7.5e120])
+    def test_matches_the_merged_expansion_on_either_side(self, d, c0):
+        rng = np.random.default_rng(90 + d)
+        s = random_sum(rng, d, 60, max_freq=3)
+        s = add(s, AtomSum.from_atoms([(0.625, (0.0,) * d, 0.0)]))  # and a constant atom
+        const = AtomSum.from_atoms([(c0, (0.0,) * d, 0.0)])
+        for left, right in ((const, s), (s, const)):
+            got = product(left, right)
+            assert bitwise_equal(got, expanded_product(left, right))
+            assert got.atom_count == s.atom_count
+
+    def test_constant_times_constant(self):
+        a = AtomSum.from_atoms([(-3.0, (0.0, 0.0), 0.0)])
+        b = AtomSum.from_atoms([(0.1, (0.0, 0.0), 0.0)])
+        assert bitwise_equal(product(a, b), expanded_product(a, b))
+
+    def test_two_atom_factor_with_a_constant_is_not_a_constant(self):
+        rng = np.random.default_rng(97)
+        c = AtomSum.from_atoms([(2.0, (0.0, 0.0), 0.0), (0.25, (1.0, 1.0), 0.5)])
+        s = random_sum(rng, 2, 20, max_freq=2)
+        assert bitwise_equal(product(c, s), expanded_product(c, s))
+
+    @pytest.mark.parametrize("c0", [1e300, -1e300])
+    def test_overflow_raises_the_constructor_error(self, c0):
+        const = AtomSum.from_atoms([(c0, (0.0,), 0.0)])
+        s = AtomSum.from_atoms([(1e10, (1.0,), 0.2), (1.0, (2.0,), 0.0)])
+        for left, right in ((const, s), (s, const)):
+            with np.errstate(over="ignore"):
+                with pytest.raises(ValueError, match="atom data must be finite"):
+                    expanded_product(left, right)
+                with pytest.raises(ValueError, match="atom data must be finite"):
+                    product(left, right)
+
+
+class TestLazyLedgerNorms:
+    """tracked_norm and support_radius_sq are computed on first read; they
+    must equal the eager formulas on every way a sum is built."""
+
+    @staticmethod
+    def check(s):
+        assert s._tracked is None and s._radius_sq is None
+        a, w = s.amplitudes, s.frequencies
+        eager_tracked = math.fsum(np.abs(a).tolist()) if a.size else 0.0
+        eager_radius_sq = float(np.max(np.einsum("ij,ij->i", w, w))) if a.size else 0.0
+        assert s.support_radius == math.sqrt(eager_radius_sq)
+        for _ in range(2):  # computed on the first read, cached for the second
+            assert s.tracked_norm == eager_tracked and s.support_radius_sq == eager_radius_sq
+
+    def test_every_construction_path(self):
+        rng = np.random.default_rng(98)
+        d = 3
+
+        def fresh():
+            return random_sum(rng, d, 40, max_freq=3)
+
+        s = fresh()
+        built = [
+            fresh(),
+            AtomSum.zero(d),
+            scale(fresh(), -0.3),
+            prune(fresh(), 0.5)[0],
+            partial_derivative(fresh(), 1),
+            second_derivative(fresh(), 0, 2),
+            precondition(fresh()),
+            product(fresh(), fresh()),
+            product(AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0)]), fresh()),
+            add(fresh(), fresh()),
+            sample_network(s, 64, 5),
+        ]
+        for out in built:
+            self.check(out)
 
 
 class TestDerivatives:

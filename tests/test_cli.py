@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,28 @@ class TestFailures:
         marker = (out / "FAILED").read_text()
         assert "size limit" in marker
         assert "frequency component 92274689" in marker
+
+    def test_step_count_over_cap_exit_2_within_a_second(self, tmp_path):
+        # lambda_min 1e-10 plans 149,668,018,676 steps
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("dim 1\nlambda_min 1e-10\nlambda_max 1\nepsilon 1e-3\n"
+                        "c\n1 0 0\nend\nf\n1 1 0\nend\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert cli.main(["solve", str(tiny), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        marker = (out / "FAILED").read_text()
+        assert "size limit" in marker
+        assert "149668018676 steps" in marker
+
+    def test_dimension_over_cap_exit_2(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("dim 129\nlambda_min 1\nlambda_max 1\nepsilon 1e-3\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(big), "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "parse error" in marker
+        assert "line 1: dimension must lie in [1, 128], got 129" in marker
 
     def test_missing_file_exit_2(self, tmp_path):
         out = tmp_path / "out"
@@ -382,6 +405,17 @@ class TestScalingReport:
         code = cli.main(["scaling-report", "--out", str(out), "--dims", "2,1"])
         assert code == 2
         assert (out / "FAILED").exists()
+
+    def test_dimension_over_cap_exit_2_before_any_solve(self, tmp_path, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "solve", unexpected)
+        out = tmp_path / "out"
+        code = cli.main(["scaling-report", "--out", str(out), "--dims", "1,2,129"])
+        assert code == 2
+        assert "dimension must lie in [1, 128], got 129" in (out / "FAILED").read_text()
+        assert not (out / "scaling.csv").exists()
 
 
 class TestValidate:

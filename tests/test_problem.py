@@ -6,7 +6,9 @@ import pytest
 
 from cospde.atoms import AtomSum, InputError
 from cospde.problem import (
+    MAX_DIMENSION,
     EllipticProblem,
+    check_dimension,
     constant_sum,
     diagonal_coefficients,
     diagonal_cosine_family,
@@ -112,6 +114,15 @@ class TestScalingFamily:
             assert p.R_f == 1.0
             assert (p.lam_min, p.lam_max) == (0.5, 1.5)
             assert p.f.atom_count == d
+
+    def test_dimension_cap(self):
+        assert MAX_DIMENSION >= 64  # scaling-report tests reach d = 64
+        assert check_dimension(MAX_DIMENSION) == MAX_DIMENSION
+        for d in (0, -1, MAX_DIMENSION + 1, 10**6):
+            with pytest.raises(InputError, match=r"dimension must lie in \[1, 128\]"):
+                check_dimension(d)
+            with pytest.raises(InputError, match=r"dimension must lie in \[1, 128\]"):
+                diagonal_cosine_family(d)
 
     def test_entries_depend_on_their_own_axis_only(self):
         p = diagonal_cosine_family(3)

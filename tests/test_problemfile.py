@@ -189,6 +189,13 @@ class TestParseErrors:
     def test_missing_dim(self):
         self.expect("lambda_min 1\n", 1, "dim")
 
+    @pytest.mark.parametrize("dim", [0, -2, 129, 10**9])
+    def test_dimension_outside_cap(self, dim):
+        self.expect(f"# header\ndim {dim}\nc\n1 0 0\nend\n", 2, "dimension must lie in [1, 128]")
+
+    def test_dimension_at_cap_parses(self):
+        assert parse_problem_text("dim 128\n").dimension == 128
+
     def test_bad_directive_value(self):
         self.expect("dim one\n", 1, "bad value")
 

@@ -372,7 +372,32 @@ def steep_d3_problem():
     return EllipticProblem(a, constant_sum(3, 1.0), f, 1.0, 3.0)
 
 
+def tiny_lambda_min_problem():
+    """A = c = 1, f = cos x with lambda_min 1e-10: at 1e-3 the plan is
+    149,668,018,676 steps."""
+    one = constant_sum(1, 1.0)
+    f = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
+    return EllipticProblem(((one,),), one, f, 1e-10, 1.0)
+
+
 class TestSizeLimits:
+    def test_step_count_over_cap_refused_before_the_recursion(self):
+        p = tiny_lambda_min_problem()
+        assert iteration_count_bound(p.lam_min, p.lam_max, p.initial_error_bound(),
+                                     0.5e-3) == 149668018676
+        for run in (lambda: main_theorem_predictor(p, 1e-3), lambda: solve(p, 1e-3)):
+            with pytest.raises(SizeLimitError, match="149668018676 steps"):
+                run()
+
+    def test_step_cap_is_inclusive(self, monkeypatch):
+        p = d1_benchmark()
+        steps = main_theorem_predictor(p, 1e-3)[0]
+        monkeypatch.setattr(solver_module, "MAX_STEPS", steps)
+        assert solve(p, 1e-3, compare_oracle=False).steps_planned == steps
+        monkeypatch.setattr(solver_module, "MAX_STEPS", steps - 1)
+        with pytest.raises(SizeLimitError, match=f"needs {steps} steps"):
+            solve(p, 1e-3, compare_oracle=False)
+
     @pytest.mark.parametrize("compare_oracle", [True, False])
     def test_unreachable_frequency_growth_refused(self, compare_oracle):
         p = high_frequency_problem()
