@@ -91,18 +91,17 @@ def _workers():
     return max(1, value)
 
 
-def _solve_problem(args, data):
+def _solve_problem(args, data, **options):
     problem = build_problem(data)
     epsilon = args.epsilon if args.epsilon is not None else data.epsilon
     if epsilon is None:
         raise ParseError(0, "epsilon missing: set it in the file or pass --epsilon")
-    return problem, solve(problem, epsilon, prune_enabled=not args.no_prune,
-                          oracle_truncation=args.oracle_K)
+    return problem, solve(problem, epsilon, prune_enabled=not args.no_prune, **options)
 
 
 def cmd_solve(args, out):
     data = parse_problem_file(args.problem)
-    problem, result = _solve_problem(args, data)
+    problem, result = _solve_problem(args, data, oracle_truncation=args.oracle_K)
 
     rows = [
         (
@@ -155,7 +154,8 @@ def cmd_rate_study(args, out):
     data = parse_problem_file(args.problem)
     target = data.g
     if target is None:
-        _, result = _solve_problem(args, data)
+        # only u is sampled, so no Galerkin reference is built
+        _, result = _solve_problem(args, data, compare_oracle=False)
         target = result.u
     seed = args.seed if args.seed is not None else (data.seed or 0)
     study = rate_study(target, widths, trials=args.trials, seed=seed,
@@ -253,8 +253,6 @@ def build_parser():
                         help="accuracy for the implicit solve when no g block is given")
     p_rate.add_argument("--no-prune", action="store_true",
                         help="disable pruning in the implicit solve")
-    p_rate.add_argument("--oracle-K", type=int, default=None,
-                        help="reference truncation for the implicit solve")
 
     p_scale = sub.add_parser("scaling-report",
                              help="dimension sweep on the built-in cosine family")

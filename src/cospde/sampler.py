@@ -113,8 +113,9 @@ def rate_study(g, widths, trials, seed, workers=1):
 
     Trial t uses seed + t at every width, so widths share their random
     draws (paired comparisons); the result is deterministic in seed and
-    independent of the worker count.  Out-of-range widths, trials or seed
-    raise InputError before the first draw.
+    independent of the worker count.  Out-of-range widths, trials or seed,
+    and a g whose variance bound overflows, raise InputError before the
+    first draw.
     """
     widths = [int(k) for k in widths]
     if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
@@ -130,6 +131,10 @@ def rate_study(g, widths, trials, seed, workers=1):
     seed = int(seed)
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    # the bound falls with k, so the first width's is the largest
+    if not math.isfinite(rms_error_bound(g, widths[0])):
+        raise InputError(f"the sampling bound of g (mass {g.tracked_norm!r}) is beyond "
+                         "floating point; rescale g")
 
     g_text = to_text(g)
     workers = worker_count(workers, len(widths))

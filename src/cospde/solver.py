@@ -76,25 +76,27 @@ def main_theorem_predictor(p, epsilon):
     iterates the growth recursion Y_{t+1} = q Y_t + alpha ell_f from
     Y_0 = 0, which telescopes to the closed geometric form
     alpha*ell_f*(q^T - 1)/(q - 1); the recursion is used so the prediction
-    is the bitwise same value the ledger accumulates.  A T above MAX_STEPS
-    raises SizeLimitError before the recursion runs.
+    is the bitwise same value the ledger accumulates.  An initial error
+    bound that overflows raises InputError, and a T above MAX_STEPS raises
+    SizeLimitError, both before the recursion runs.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 0.5:
         raise InputError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     alpha, _ = optimal_step(p.lam_min, p.lam_max)
-    steps = iteration_count_bound(
-        p.lam_min, p.lam_max, p.initial_error_bound(), 0.5 * epsilon
-    )
+    with np.errstate(over="ignore"):  # refused just below
+        initial_error = p.initial_error_bound()
+    if not math.isfinite(initial_error):
+        raise InputError("the initial error bound |f|_H^-1 / lambda_min overflows; rescale f")
+    steps = iteration_count_bound(p.lam_min, p.lam_max, initial_error, 0.5 * epsilon)
     if steps > MAX_STEPS:
         raise SizeLimitError(
             f"the plan needs {steps} steps, above the cap of {MAX_STEPS}; "
             "raise lambda_min or loosen epsilon"
         )
-    q = growth_factor(p, alpha)
     y = 0.0
     for _ in range(steps):
-        y = q * y + alpha * p.ell_f
+        y = cosine_ledger_bound(p, alpha, y)
     return steps, math.sqrt(p.coeff_radius_sq * steps * steps), y
 
 
@@ -118,7 +120,6 @@ class IterationState:
     u: AtomSum
     ledger: list
     eps_budget_used: float
-    y_bound: float
 
 
 def initial_state(p):
@@ -134,7 +135,7 @@ def initial_state(p):
         y_bound=0.0,
     )
     return IterationState(t=0, u=AtomSum.zero(p.dimension), ledger=[record],
-                          eps_budget_used=0.0, y_bound=0.0)
+                          eps_budget_used=0.0)
 
 
 def _radius_within(radius_sq, start_sq, shift_sq, steps):
@@ -174,15 +175,22 @@ def _budget_threshold(s, budget):
     return float(amps[count])
 
 
+def _preconditioned_residual(p, u):
+    """(I - Lap)^-1 (L u - f): the step direction, whose H1 norm is the
+    residual estimate of u's ledger row."""
+    return precondition(add(apply_elliptic(p, u), scale(p.f, -1.0)))
+
+
 def step(p, state, alpha, prune_mass_budget=None):
-    """Advance one iteration, appending a ledger row and asserting its bounds."""
+    """Advance one iteration, appending a ledger row and asserting its bounds:
+    the tracked norm before pruning against cosine_bound, and the radius
+    exactly.  Y_t needs no check: it is the same recursion on Y_{t-1} >= the
+    old norm, and rounding is monotone, so cosine_bound <= Y_t."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ValueError("alpha must be finite and nonnegative")
     u = state.u
-    image = apply_elliptic(p, u)
-    residual = add(image, scale(p.f, -1.0))
-    direction = precondition(residual)
+    direction = _preconditioned_residual(p, u)
     if state.ledger[-1].residual_estimate is None:
         state.ledger[-1].residual_estimate = h1_norm_torus(direction)
 
@@ -207,16 +215,10 @@ def step(p, state, alpha, prune_mass_budget=None):
             f"step {state.t}: support radius {u_next.support_radius!r} exceeds "
             f"{u.support_radius!r} + {p.coeff_radius!r}"
         )
-    y_next = growth_factor(p, alpha) * state.y_bound + alpha * p.ell_f
-    if u_next.tracked_norm > y_next:
-        raise LedgerViolationError(
-            f"step {state.t}: tracked norm {u_next.tracked_norm!r} exceeds "
-            f"accumulated bound {y_next!r}"
-        )
+    y_next = cosine_ledger_bound(p, alpha, state.ledger[-1].y_bound)
 
     state.t += 1
     state.u = u_next
-    state.y_bound = y_next
     state.ledger.append(
         LedgerRecord(
             t=state.t,
@@ -230,11 +232,6 @@ def step(p, state, alpha, prune_mass_budget=None):
         )
     )
     return state
-
-
-def _residual_norm(p, u):
-    image = apply_elliptic(p, u)
-    return h1_norm_torus(precondition(add(image, scale(p.f, -1.0))))
 
 
 @dataclass
@@ -298,8 +295,10 @@ def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation
     frequency the iteration can reach.  A plan of more than MAX_STEPS steps,
     or whose frequencies leave +-MAX_FREQUENCY, or whose reference exceeds
     ORACLE_MAX_UNKNOWNS, raises SizeLimitError, and an epsilon outside
-    (0, 1/2) or an oracle_truncation that cannot hold f raises InputError,
-    all before the first step.
+    (0, 1/2), an f too large for its norms, or an oracle_truncation that
+    cannot hold f raises InputError, all before the first step.  The plan's
+    bounds need no final check: the last Y_t is predicted_norm bit for bit,
+    and step's radius checks chained from 0 give predicted_radius's bound.
     """
     epsilon = float(epsilon)
     if oracle_truncation is not None:
@@ -331,19 +330,8 @@ def solve(p, epsilon, prune_enabled=True, compare_oracle=None, oracle_truncation
         if reference is not None:
             state.ledger[-1].h1_error = h1_distance(state.u, reference.u)
 
-    state.ledger[-1].residual_estimate = _residual_norm(p, state.u)
-
     final = state.ledger[-1]
-    if final.tracked_norm > predicted_norm:
-        raise LedgerViolationError(
-            f"final tracked norm {final.tracked_norm!r} exceeds prediction "
-            f"{predicted_norm!r}"
-        )
-    if not _radius_within(state.u.support_radius_sq, 0.0, p.coeff_radius_sq, steps):
-        raise LedgerViolationError(
-            f"final support radius {final.support_radius!r} exceeds prediction "
-            f"{predicted_radius!r}"
-        )
+    final.residual_estimate = h1_norm_torus(_preconditioned_residual(p, state.u))
 
     return SolveResult(
         u=state.u,

@@ -186,7 +186,7 @@ def check_ledger_solve_1d():
         raise AssertionError("tracked norm above prediction")
     return (
         f"T={result.steps_planned}, final error {result.final_h1_error!r}, "
-        f"tracked {final.tracked_norm!r} <= bound {result.state.y_bound!r}"
+        f"tracked {final.tracked_norm!r} <= bound {final.y_bound!r}"
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared test oracles: independent scalar recomputations, no library shortcuts."""
+"""Shared test oracles (independent scalar recomputations, no library shortcuts),
+problems and fault injectors."""
 
 import math
 
@@ -105,3 +106,13 @@ def collinear_problem():
     c = AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0), (0.25, (1.0,) * d, 0.0)])
     f = AtomSum.from_atoms([(1.0, (1.0,) * d, 0.0)])
     return EllipticProblem(diagonal_coefficients([constant_sum(d, 2.0)] * d), c, f, 1.75, 2.25)
+
+
+def inflating_merge(merge):
+    """_merge with its first output amplitude scaled by 1e3: a corrupt merge."""
+    def inflated(rows, amps, phases):
+        rows, merged, merged_phases = merge(rows, amps, phases)
+        merged = merged.copy()
+        merged[:1] *= 1e3
+        return rows, merged, merged_phases
+    return inflated

@@ -138,6 +138,8 @@ def test_05_norm_and_radius_ledger_inequalities(shared_solves):
             assert _radius_within(cur.support_radius_sq, prev.support_radius_sq, p.coeff_radius_sq, 1)
         final = rows[-1]
         assert final.tracked_norm <= result.predicted_norm, key
+        # the final norm needs no check of its own: Y_T is the prediction
+        assert result.predicted_norm == final.y_bound, key
         assert _radius_within(
             final.support_radius_sq, rows[0].support_radius_sq, p.coeff_radius_sq, result.steps_planned
         ), key

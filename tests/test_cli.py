@@ -11,9 +11,11 @@ import pytest
 
 import cospde.atoms as atoms
 import cospde.cli as cli
+import cospde.solver as solver
 import cospde.validate as validate
 from cospde.atoms import AtomSum, from_text
 from cospde.solver import LedgerViolationError
+from conftest import inflating_merge
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS_DIR = ROOT / "problems"
@@ -26,6 +28,10 @@ NEGATIVE_SEED = "dim 1\nseed -3\ng\n1 1 0\nend\n"
 # solve of f = 0, whose solution is 0
 ZERO_G = "dim 1\ng\nend\n"
 ZERO_F = "dim 1\nlambda_min 1\nlambda_max 1\nepsilon 1e-2\nc\n1 0 0\nend\nf\nend\n"
+# amplitudes whose norms overflow: the d1 benchmark with f scaled up, and a g
+HUGE_F = ("dim 1\nlambda_min 1\nlambda_max 3\nepsilon 1e-3\nA 1 1\n2 0 0\n1 1 0\nend\n"
+          "c\n1 0 0\nend\nf\n{} 1 0\nend\n")
+HUGE_G = "dim 1\ng\n1e200 1 0\n2e200 2 0\nend\n"
 
 
 def read(path):
@@ -275,6 +281,9 @@ class TestFailures:
         ["rate-study", TARGET, "--widths", "16,32", "--trials", "500001"],
         ["rate-study", ZERO_G],
         ["rate-study", ZERO_F],
+        ["solve", HUGE_F.format("1e160")],
+        ["solve", HUGE_F.format("1e200")],
+        ["rate-study", HUGE_G],
     ])
     def test_bad_flag_values_exit_2(self, tmp_path, argv):
         if "\n" in argv[1]:  # a problem text: run it from a file
@@ -293,6 +302,24 @@ class TestFailures:
         out = tmp_path / "out"
         assert cli.main(["solve", D1, "--out", str(out)]) == 4
         assert "ledger violation" in (out / "FAILED").read_text()
+
+    def test_inflating_merge_exit_4(self, tmp_path, monkeypatch):
+        # the merge turns corrupt after two steps; the per-step mass check fires
+        merge, real_step = atoms._merge, solver.step
+        steps = []
+
+        def counting_step(*args, **kwargs):
+            if len(steps) == 2:
+                monkeypatch.setattr(atoms, "_merge", inflating_merge(merge))
+            steps.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", counting_step)
+        out = tmp_path / "out"
+        assert cli.main(["solve", D1, "--out", str(out)]) == 4
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith("ledger violation: step 2:")
+        assert "recursion bound" in marker
 
     def test_marker_cleared_on_successful_rerun(self, tmp_path):
         out = tmp_path / "out"
@@ -450,6 +477,10 @@ assert cli.main(["scaling-report", "--dims", "1,2", "--out", out + "/scale"]) ==
 assert cli.main(["rate-study", {TARGET!r}, "--widths", "16,32", "--trials", "30",
                  "--out", out + "/rate"]) == 0
 print("scipy" in sys.modules)
+# no g block: the study solves the d=1 problem, but builds no reference
+assert cli.main(["rate-study", {D1!r}, "--widths", "16,32", "--trials", "30",
+                 "--out", out + "/implicit"]) == 0
+print("scipy" in sys.modules)
 assert cli.main(["solve", {D1!r}, "--out", out + "/solve"]) == 0
 print("scipy.sparse.linalg" in sys.modules)
 """
@@ -458,4 +489,4 @@ print("scipy.sparse.linalg" in sys.modules)
                                                       env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.split() == ["False", "False", "True"]

@@ -24,8 +24,12 @@ PROBLEMS = ROOT / "problems"
 CASES = {
     "solve_d1_benchmark": ["solve", str(PROBLEMS / "d1_benchmark.txt")],
     "solve_d2_benchmark": ["solve", str(PROBLEMS / "d2_benchmark.txt")],
+    "solve_identity_2d": ["solve", str(PROBLEMS / "identity_2d.txt")],
     "rate_study": ["rate-study", str(PROBLEMS / "sampling_target.txt")],
+    # no g block: the study samples the solve of the file's problem
+    "rate_study_implicit_d1": ["rate-study", str(PROBLEMS / "d1_benchmark.txt")],
     "scaling_report": ["scaling-report", "--dims", ",".join(str(d) for d in range(1, 17))],
+    "validate": ["validate"],
 }
 
 # scaling.csv keeps its columns before wall_time_s, the last one

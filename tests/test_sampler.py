@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cospde.sampler as sampler
 from cospde.atoms import AtomSum, InputError, add, evaluate
 from cospde.sampler import (
     MAX_ROWS,
@@ -230,6 +231,16 @@ class TestRateStudy:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_overflowing_bound_refused_before_the_first_draw(self, monkeypatch):
+        g = AtomSum.from_atoms([(1e200, (1.0,), 0.0), (2e200, (2.0,), 0.0)])
+
+        def no_draw(*args):
+            raise AssertionError("drew a network")
+
+        monkeypatch.setattr(sampler, "sample_network", no_draw)
+        with pytest.raises(InputError, match="sampling bound"):
+            rate_study(g, [16, 32], trials=30, seed=0)
 
     def test_ols_fit_matches_closed_form(self):
         assert ols_fit([1.0, 2.0, 3.0], [1.0, 3.0, 5.0]) == (2.0, 0.0)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cospde.atoms as atoms_module
 import cospde.solver as solver_module
 from cospde.atoms import AtomSum, InputError, add, h1_norm_torus, scale
 from cospde.calculus import apply_elliptic
@@ -26,7 +27,8 @@ from cospde.solver import (
     solve,
     step,
 )
-from conftest import collinear_problem, d1_benchmark, d2_benchmark, identity_problem
+from conftest import (collinear_problem, d1_benchmark, d2_benchmark, identity_problem,
+                      inflating_merge)
 
 
 def all_ones_problem():
@@ -144,6 +146,18 @@ class TestMainTheoremPredictor:
         with pytest.raises(InputError):
             optimal_step(1.0, 0.5)
 
+    @pytest.mark.parametrize("amplitude", [1e160, 1e200])
+    def test_overflowing_initial_error_refused(self, amplitude):
+        # |f|_H^-1 squares the amplitude, so both overflow to inf
+        p = d1_benchmark()
+        huge = EllipticProblem(p.a_entries, p.c, scale(p.f, amplitude), p.lam_min, p.lam_max)
+        with np.errstate(over="ignore"):
+            assert huge.initial_error_bound() == math.inf
+        with pytest.raises(InputError, match="initial error bound"):
+            main_theorem_predictor(huge, 1e-3)
+        with pytest.raises(InputError, match="initial error bound"):
+            solve(huge, 1e-3)
+
 
 class TestStep:
     def test_identity_problem_one_step_exact(self):
@@ -170,6 +184,8 @@ class TestStep:
             prev = state.ledger[0]
             for row in state.ledger[1:]:
                 assert row.tracked_norm <= row.cosine_bound
+                # the implication that lets step leave Y_t unchecked
+                assert row.cosine_bound <= row.y_bound
                 assert row.tracked_norm <= row.y_bound
                 assert _radius_within(row.support_radius_sq, prev.support_radius_sq, p.coeff_radius_sq, 1)
                 assert row.cosine_bound == cosine_ledger_bound(p, alpha, prev.tracked_norm)
@@ -211,6 +227,16 @@ class TestStep:
         with pytest.raises(LedgerViolationError, match="support radius"):
             step(p, state, alpha)
 
+    def test_mass_check_catches_an_inflating_merge(self, monkeypatch):
+        p = d1_benchmark()
+        alpha, _ = optimal_step(p.lam_min, p.lam_max)
+        state = initial_state(p)
+        step(p, state, alpha)
+        step(p, state, alpha)
+        monkeypatch.setattr(atoms_module, "_merge", inflating_merge(atoms_module._merge))
+        with pytest.raises(LedgerViolationError, match="recursion bound"):
+            step(p, state, alpha)
+
     def test_dimension_mismatch_rejected(self):
         p = d1_benchmark()
         state = initial_state(identity_problem(2))
@@ -226,6 +252,29 @@ class TestRadiusWithin:
         assert _radius_within(27.0 * 25, 0.0, 27.0, 5)
         assert not _radius_within(27.0 * 25 + 1, 0.0, 27.0, 5)
         assert _radius_within(0.0, 0.0, 0.0, 3)
+
+    def test_per_step_checks_imply_the_final_check(self):
+        # the implication that lets solve leave the final radius unchecked: a
+        # chain of integer squares from 0 passing every one-step check passes
+        # the T-step check
+        rng = np.random.default_rng(41)
+        chains = 0
+        for _ in range(2000):
+            shift_sq = int(rng.integers(0, 30))
+            steps = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                # collinear lattice points k^2 * shift_sq, where bounds hold with equality
+                ks = np.cumsum(rng.integers(0, 2, size=steps))
+                chain = [0] + [int(k * k) * shift_sq for k in ks]
+            else:
+                chain = [0]
+                for _ in range(steps):
+                    reach = math.isqrt(chain[-1]) + math.isqrt(shift_sq) + 2
+                    chain.append(int(rng.integers(0, reach * reach)))
+            if all(_radius_within(b, a, shift_sq, 1) for a, b in zip(chain, chain[1:])):
+                chains += 1
+                assert _radius_within(chain[-1], 0, shift_sq, steps), (chain, shift_sq)
+        assert chains > 1000
 
 
 class TestBudgetThreshold:
