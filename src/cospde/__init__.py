@@ -29,7 +29,6 @@ from .calculus import (
     partial_derivative,
     precondition,
     product,
-    second_derivative,
 )
 from .oracle import (
     GalerkinReference,
@@ -131,7 +130,6 @@ __all__ = [
     "rms_error_bound",
     "sample_network",
     "scale",
-    "second_derivative",
     "solve",
     "step",
     "sum_many",

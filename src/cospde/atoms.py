@@ -297,9 +297,13 @@ class AtomSum:
         are reduced into [0, 2*pi)."""
         if not np.isfinite(amps).all():
             raise ValueError("atom data must be finite")
+        freqs, phases = self._freqs, self._phases
         keep = amps != 0.0
-        return AtomSum._trusted(self._d, amps[keep], self._freqs[keep],
-                                _reduce_phases(self._phases[keep] + shift))
+        if not keep.all():
+            amps, freqs, phases = amps[keep], freqs[keep], phases[keep]
+        if shift:  # a canonical sum's phases are reduced already
+            phases = _reduce_phases(phases + shift)
+        return AtomSum._trusted(self._d, amps, freqs, phases)
 
     @classmethod
     def zero(cls, dimension: int) -> "AtomSum":
@@ -405,7 +409,8 @@ def add(s1: AtomSum, s2: AtomSum) -> AtomSum:
 
 
 def sum_many(sums: Sequence[AtomSum]) -> AtomSum:
-    """Sum of several atom sums with a single canonicalization pass."""
+    """Sum of several atom sums with a single canonicalization pass; a lone
+    nonzero part is returned as it is."""
     if not sums:
         raise ValueError("sum_many needs at least one atom sum")
     d = sums[0].dimension
@@ -414,6 +419,8 @@ def sum_many(sums: Sequence[AtomSum]) -> AtomSum:
     parts = [s for s in sums if not s.is_zero]
     if not parts:
         return AtomSum.zero(d)
+    if len(parts) == 1:  # canonical already: canonicalization is idempotent
+        return parts[0]
     amps = np.concatenate([s.amplitudes for s in parts])
     freqs = np.concatenate([s.frequencies for s in parts])
     phases = np.concatenate([s.phases for s in parts])
@@ -421,13 +428,17 @@ def sum_many(sums: Sequence[AtomSum]) -> AtomSum:
 
 
 def scale(s: AtomSum, factor: float) -> AtomSum:
-    """Scalar multiple.  factor = 0 gives the zero sum; otherwise atom-wise."""
+    """Scalar multiple.  factor = 0 gives the zero sum; otherwise atom-wise,
+    where an amplitude that overflows raises and one that underflows to 0 is
+    dropped."""
     factor = float(factor)
     if not math.isfinite(factor):
         raise ValueError("scale factor must be finite")
     if factor == 0.0 or s.is_zero:
         return AtomSum.zero(s.dimension)
-    return AtomSum._trusted(s.dimension, s.amplitudes * factor, s.frequencies, s.phases)
+    if abs(factor) == 1.0:  # exact: nothing can overflow or underflow
+        return AtomSum._trusted(s.dimension, s.amplitudes * factor, s.frequencies, s.phases)
+    return s._rephased(s.amplitudes * factor, 0.0)
 
 
 def prune(s: AtomSum, threshold: float) -> tuple[AtomSum, float]:

@@ -4,9 +4,9 @@ Everything here is exact atom algebra: products split each cosine pair into
 sum and difference frequencies, derivatives are quarter-period phase shifts
 with frequency-component amplitude factors, and the (I - Laplacian)^-1
 preconditioner acts atom-wise through the 1/(1 + |w|^2) multiplier.  The
-expanded second-order operator
+second-order operator, applied in divergence form,
 
-    L u = -sum_ij (dA_ij/dx_i * du/dx_j + A_ij * d2u/dx_i dx_j) + c u
+    L u = -sum_i d/dx_i (sum_j A_ij du/dx_j) + c u,
 
 therefore never leaves the atom representation.
 """
@@ -67,31 +67,34 @@ def partial_derivative(s: AtomSum, axis: int) -> AtomSum:
     return s._rephased(s.amplitudes * s.frequencies[:, axis], HALF_PI)
 
 
-def second_derivative(s: AtomSum, axis_i: int, axis_j: int) -> AtomSum:
-    """d2/dx_i dx_j: (a, w, b) -> (a * w_i * w_j, w, b + pi)."""
-    for ax in (axis_i, axis_j):
-        if not 0 <= ax < s.dimension:
-            raise ValueError(f"axis {ax} out of range for dimension {s.dimension}")
-    if s.is_zero:
-        return s
-    return s._rephased(s.amplitudes * s.frequencies[:, axis_i] * s.frequencies[:, axis_j], math.pi)
-
-
 def precondition(s: AtomSum) -> AtomSum:
-    """(I - Laplacian)^-1, atom-wise: (a, w, b) -> (a / (1 + |w|^2), w, b)."""
+    """(I - Laplacian)^-1, atom-wise: (a, w, b) -> (a / (1 + |w|^2), w, b).
+    An amplitude that underflows to 0 is dropped."""
     if s.is_zero:
         return s
     wsq = np.einsum("ij,ij->i", s.frequencies, s.frequencies)
-    return AtomSum._trusted(s.dimension, s.amplitudes / (1.0 + wsq), s.frequencies, s.phases)
+    return s._rephased(s.amplitudes / (1.0 + wsq), 0.0)
 
 
 def apply_elliptic(p, u: AtomSum) -> AtomSum:
-    """Apply L u = -sum_ij (d_i A_ij * d_j u + A_ij * d_ij u) + c u.
+    """Apply L u = -sum_i d_i (sum_j A_ij d_j u) + c u, in divergence form.
 
     `p` is an EllipticProblem, whose constructor has already checked that
     A is a symmetric d x d matrix of atom sums in the dimension of c and f.
-    Returns L u itself (no right-hand side subtracted).  All terms stay in
-    the atom algebra; empty coefficient entries are skipped.
+    Returns L u itself (no right-hand side subtracted).  Each axis i takes
+    one product A_ij * d_j u per nonzero entry, one merge of those products
+    into the flux, and one derivative of the flux; no coefficient is ever
+    differentiated.
+
+    The tracked-norm ledger stays sound.  A coefficient atom a cos(w.x + beta)
+    of A_ij and a solution atom a_u cos(v.x + b) put mass |a a_u / 2| |k'_i v_j|
+    at each output frequency k' = v +- w (the flux merge before d_i can only
+    shrink it).  The product-rule form d_i A_ij d_j u + A_ij d_ij u puts
+    |a a_u / 2| (|w_i| + |v_i|) |v_j| there, no less, since
+    |k'_i| <= |w_i| + |v_i|.  Merging only shrinks mass, and the
+    preconditioner scales both forms by the same 1 / (1 + |k'|^2), so
+    `solver.cosine_ledger_bound`, proved for the product-rule form, bounds
+    every step.
     """
     d = p.dimension
     if u.dimension != d:
@@ -99,17 +102,10 @@ def apply_elliptic(p, u: AtomSum) -> AtomSum:
     terms = [product(p.c, u)]
     if not u.is_zero:
         du = [partial_derivative(u, j) for j in range(d)]
-        for i in range(d):
-            for j in range(d):
-                a_ij = p.a_entries[i][j]
-                if a_ij.is_zero:
-                    continue
-                da = partial_derivative(a_ij, i)
-                if not (da.is_zero or du[j].is_zero):
-                    terms.append(scale(product(da, du[j]), -1.0))
-                d2u = second_derivative(u, i, j)
-                if not d2u.is_zero:
-                    terms.append(scale(product(a_ij, d2u), -1.0))
+        for i, row in enumerate(p.a_entries):
+            flux = [product(a_ij, du[j]) for j, a_ij in enumerate(row) if not a_ij.is_zero]
+            if flux:
+                terms.append(scale(partial_derivative(sum_many(flux), i), -1.0))
     return sum_many(terms)
 
 

@@ -182,8 +182,6 @@ def check_ledger_solve_1d():
     final = result.state.ledger[-1]
     if not result.final_h1_error <= 1e-2:
         raise AssertionError(f"final error {result.final_h1_error!r} above 1e-2")
-    if final.tracked_norm > result.predicted_norm:
-        raise AssertionError("tracked norm above prediction")
     return (
         f"T={result.steps_planned}, final error {result.final_h1_error!r}, "
         f"tracked {final.tracked_norm!r} <= bound {final.y_bound!r}"

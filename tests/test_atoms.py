@@ -22,8 +22,8 @@ from cospde.atoms import (
     sum_many,
     to_text,
 )
-from cospde.calculus import partial_derivative, precondition, product, second_derivative
-from conftest import bitwise_equal, h1_norm_quadrature, random_sum, scalar_eval
+from cospde.calculus import apply_elliptic, partial_derivative, precondition, product
+from conftest import bitwise_equal, h1_norm_quadrature, identity_problem, random_sum, scalar_eval
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,7 +361,7 @@ class TestValidation:
             "from_text": from_text(to_text(s)),
             "product": product(s, t),
             "partial_derivative": partial_derivative(s, 0),
-            "second_derivative": second_derivative(s, 0, 1),
+            "apply_elliptic": apply_elliptic(identity_problem(2), s),
             "precondition": precondition(s),
             "scale": scale(s, -2.0),
             "prune": prune(s, 0.8)[0],
@@ -403,6 +403,26 @@ class TestArithmetic:
         assert [a.amplitude for a in t.atoms] == [-3.0, 1.0]
         assert t.tracked_norm == 4.0
         assert scale(s, 0.0).is_zero
+        assert [a.amplitude for a in scale(s, -1.0).atoms] == [-1.5, 0.5]
+        assert scale(scale(s, -1.0), -1.0) == s == scale(s, 1.0)
+
+    def test_scale_overflow_raises(self):
+        s = AtomSum.from_atoms([(1e300, (1.0,), 0.0)])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="atom data must be finite"):
+                scale(s, 1e300)
+
+    def test_scale_underflow_drops_the_atom(self):
+        s = AtomSum.from_atoms([(5e-324, (1.0,), 0.0), (1.0, (2.0,), 0.0)])
+        (atom,) = scale(s, 0.25).atoms
+        assert (atom.amplitude, atom.frequency) == (0.25, (2.0,))
+
+    def test_sum_many_returns_a_lone_part_unchanged(self):
+        rng = np.random.default_rng(13)
+        s = random_sum(rng, 2, 20, max_freq=2)
+        zero = AtomSum.zero(2)
+        assert sum_many([zero, s, zero]) is s
+        assert bitwise_equal(s, AtomSum(2, True, s.amplitudes, s.frequencies, s.phases))
 
     def test_evaluate_invariant_under_reassociation(self):
         # one-pass merge and iterated binary adds may round differently in the

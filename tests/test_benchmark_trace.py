@@ -15,10 +15,15 @@ ROOT = Path(__file__).resolve().parent.parent
 D1 = ROOT / "problems" / "d1_benchmark.txt"
 TARGET = ROOT / "problems" / "sampling_target.txt"
 
+# every span perfbench's COMMON_SOLVE_SPANS requires of a solve, and the oracle's
 SOLVE_SPANS = (
-    "atoms.canonicalize",
+    "solver.solve",
     "solver.step",
     "calculus.apply_elliptic",
+    "calculus.product",
+    "calculus.precondition",
+    "atoms.canonicalize",
+    "oracle.ellipticity_probe",
     "oracle.linear_solve",
 )
 RATE_STUDY_SPANS = (

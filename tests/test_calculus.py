@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cospde.atoms import AtomSum, add, evaluate, prune, scale
+import cospde.calculus as calculus
+from cospde.atoms import AtomSum, add, evaluate, h1_norm_torus, prune, scale, sum_many
 from cospde.calculus import (
     apply_elliptic,
     from_fourier_data,
     partial_derivative,
     precondition,
     product,
-    second_derivative,
 )
 from cospde.problem import EllipticProblem
 from cospde.sampler import sample_network
@@ -173,7 +173,7 @@ class TestLazyLedgerNorms:
             scale(fresh(), -0.3),
             prune(fresh(), 0.5)[0],
             partial_derivative(fresh(), 1),
-            second_derivative(fresh(), 0, 2),
+            apply_elliptic(identity_problem(d), fresh()),
             precondition(fresh()),
             product(fresh(), fresh()),
             product(AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0)]), fresh()),
@@ -215,45 +215,34 @@ class TestDerivatives:
     def test_derivatives_are_canonical_without_a_merge(self):
         rng = np.random.default_rng(75)
         s = random_sum(rng, 3, 40, max_freq=3)
-        for ds in [partial_derivative(s, 1)] + [second_derivative(s, i, j) for i in range(3) for j in range(3)]:
+        for ds in [partial_derivative(s, 1)] + [
+            partial_derivative(partial_derivative(s, i), j) for i in range(3) for j in range(3)
+        ]:
             rebuilt = AtomSum(3, True, ds.amplitudes, ds.frequencies, ds.phases)
             assert ds.amplitudes.tobytes() == rebuilt.amplitudes.tobytes()
             assert ds.frequencies.tobytes() == rebuilt.frequencies.tobytes()
             assert ds.phases.tobytes() == rebuilt.phases.tobytes()
 
-    def test_second_derivative_example(self):
+    def test_two_first_derivatives_example(self):
         s = AtomSum.from_atoms([(1.0, (2.0,), 0.3)])
-        d2 = second_derivative(s, 0, 0)
+        d2 = partial_derivative(partial_derivative(s, 0), 0)
         (atom,) = d2.atoms
         assert atom.amplitude == 4.0
         assert phases_close(atom.phase, 0.3 + math.pi)
-
-    def test_second_derivative_matches_two_first_derivatives(self):
-        rng = np.random.default_rng(73)
-        s = random_sum(rng, 3, 12, max_freq=2)
-        for i in range(3):
-            for j in range(3):
-                direct = second_derivative(s, i, j)
-                chained = partial_derivative(partial_derivative(s, i), j)
-                assert [a.frequency for a in direct.atoms] == [a.frequency for a in chained.atoms]
-                for a, b in zip(direct.atoms, chained.atoms):
-                    assert a.amplitude == b.amplitude
-                    assert phases_close(a.phase, b.phase)
 
     def test_mixed_partials_commute_pointwise(self):
         rng = np.random.default_rng(74)
         s = random_sum(rng, 2, 10, max_freq=2)
         pts = rng.uniform(0, TWO_PI, size=(100, 2))
-        v12 = evaluate(second_derivative(s, 0, 1), pts)
-        v21 = evaluate(second_derivative(s, 1, 0), pts)
+        v12 = evaluate(partial_derivative(partial_derivative(s, 0), 1), pts)
+        v21 = evaluate(partial_derivative(partial_derivative(s, 1), 0), pts)
         assert np.max(np.abs(v12 - v21)) <= 1e-12 * max(1.0, float(np.max(np.abs(v12))))
 
     def test_axis_out_of_range(self):
         s = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
-        with pytest.raises(ValueError):
-            partial_derivative(s, 1)
-        with pytest.raises(ValueError):
-            second_derivative(s, 0, -1)
+        for axis in (1, -1):
+            with pytest.raises(ValueError):
+                partial_derivative(s, axis)
 
 
 class TestPrecondition:
@@ -277,6 +266,12 @@ class TestPrecondition:
         pts = rng.uniform(0, TWO_PI, size=(200, 2))
         vb, vs = evaluate(back, pts), evaluate(s, pts)
         assert np.max(np.abs(vb - vs)) <= 1e-12 * max(1.0, float(np.max(np.abs(vs))))
+
+    def test_underflowing_amplitude_is_dropped(self):
+        s = AtomSum.from_atoms([(5e-324, (3.0,), 0.0)])
+        out = precondition(s)
+        assert out.is_zero
+        assert out == AtomSum(1, True, out.amplitudes, out.frequencies, out.phases)
 
     def test_never_increases_mass_or_radius(self):
         rng = np.random.default_rng(81)
@@ -357,6 +352,92 @@ class TestApplyElliptic:
                     ref += -(da * du + scalar_eval(aij, x) * d2u)
             got = evaluate(out, x)
             assert abs(got - ref) <= 2e-5 * max(1.0, abs(ref))
+
+
+def product_chain_elliptic(p, u):
+    """L u in the product-rule form -sum_ij (d_i A_ij * d_j u + A_ij * d_i d_j u)
+    + c u, every derivative taken by partial_derivative: the reference the
+    divergence form of apply_elliptic must agree with."""
+    terms = [product(p.c, u)]
+    for i, row in enumerate(p.a_entries):
+        for j, a_ij in enumerate(row):
+            du = partial_derivative(u, j)
+            terms.append(scale(product(partial_derivative(a_ij, i), du), -1.0))
+            terms.append(scale(product(a_ij, partial_derivative(du, i)), -1.0))
+    return sum_many(terms)
+
+
+def wrapping_sum(rng, d, n, max_freq=2):
+    """Random atoms, half of them with phases just below 2*pi, so that products
+    and derivatives carry phases past 2*pi."""
+    freqs = rng.integers(-max_freq, max_freq + 1, size=(n, d))
+    near = TWO_PI - rng.uniform(0.0, 1e-9, n)
+    phases = np.where(rng.random(n) < 0.5, near, rng.uniform(0.0, TWO_PI, n))
+    return AtomSum(d, True, rng.uniform(-1.0, 1.0, n), freqs, phases)
+
+
+def random_operator(rng, d, shape, oscillating_c):
+    """A problem with A of the given shape ("constant" 2I, variable "diagonal",
+    "full" with every off-diagonal entry, "banded" with only the first
+    off-diagonal) and c constant or oscillating."""
+    two = AtomSum.from_atoms([(2.0, (0.0,) * d, 0.0)])
+    rows = [[AtomSum.zero(d)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if i == j:
+                entry = two if shape == "constant" else add(two, wrapping_sum(rng, d, 2))
+            elif shape == "full" or (shape == "banded" and j == i + 1):
+                entry = wrapping_sum(rng, d, 2)
+            else:
+                continue
+            rows[i][j] = rows[j][i] = entry
+    c = AtomSum.from_atoms([(1.5, (0.0,) * d, 0.0)])
+    if oscillating_c:
+        c = add(c, wrapping_sum(rng, d, 3))
+    return operator(rows, c)
+
+
+class TestProductChainReference:
+    """apply_elliptic applies L in divergence form; it must agree with the
+    product-rule form built from partial_derivative alone."""
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_matches_the_product_chain_form(self, d):
+        rng = np.random.default_rng(300 + d)
+        u = wrapping_sum(rng, d, 8)
+        cases = (("constant", False), ("constant", True), ("diagonal", False), ("full", True))
+        for shape, oscillating_c in cases:
+            p = random_operator(rng, d, shape, oscillating_c)
+            got, want = apply_elliptic(p, u), product_chain_elliptic(p, u)
+            gap = h1_norm_torus(sum_many([got, scale(want, -1.0)]))
+            assert gap <= 1e-13 * h1_norm_torus(want), (shape, oscillating_c)
+
+    def test_one_product_per_nonzero_entry_and_no_coefficient_derivative(self, monkeypatch):
+        rng = np.random.default_rng(320)
+        d = 4
+        p = random_operator(rng, d, "banded", oscillating_c=True)
+        u = wrapping_sum(rng, d, 8)
+        want = apply_elliptic(p, u)
+        multiplied, differentiated = [], []
+        real_product, real_derivative = calculus.product, calculus.partial_derivative
+
+        def counted_product(s1, s2):
+            multiplied.append(s1)
+            return real_product(s1, s2)
+
+        def counted_derivative(s, axis):
+            differentiated.append(s)
+            return real_derivative(s, axis)
+
+        monkeypatch.setattr(calculus, "product", counted_product)
+        monkeypatch.setattr(calculus, "partial_derivative", counted_derivative)
+        assert bitwise_equal(apply_elliptic(p, u), want)
+        coefficients = [p.c] + [a for row in p.a_entries for a in row if not a.is_zero]
+        assert len(coefficients) == 1 + d + 2 * (d - 1)
+        assert len(multiplied) == len(coefficients)
+        assert all(x is y for x, y in zip(multiplied, coefficients))
+        assert len(differentiated) == 2 * d  # d_j u, then each axis's flux
+        assert not any(s is a for s in differentiated for a in coefficients)
 
 
 class TestFromFourierData:
