@@ -436,8 +436,6 @@ def scale(s: AtomSum, factor: float) -> AtomSum:
         raise ValueError("scale factor must be finite")
     if factor == 0.0 or s.is_zero:
         return AtomSum.zero(s.dimension)
-    if abs(factor) == 1.0:  # exact: nothing can overflow or underflow
-        return AtomSum._trusted(s.dimension, s.amplitudes * factor, s.frequencies, s.phases)
     return s._rephased(s.amplitudes * factor, 0.0)
 
 
