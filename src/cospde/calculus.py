@@ -4,11 +4,14 @@ Everything here is exact atom algebra: products split each cosine pair into
 sum and difference frequencies, derivatives are quarter-period phase shifts
 with frequency-component amplitude factors, and the (I - Laplacian)^-1
 preconditioner acts atom-wise through the 1/(1 + |w|^2) multiplier.  The
-second-order operator, applied in divergence form,
+second-order operator in divergence form,
 
     L u = -sum_i d/dx_i (sum_j A_ij du/dx_j) + c u,
 
-therefore never leaves the atom representation.
+is one stencil: a coefficient atom of A_ij and a solution atom map to the
+two atoms at the sum and difference of their frequencies, with the
+derivatives folded into the amplitude (`apply_elliptic`).  It therefore
+never leaves the atom representation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from .atoms import TWO_PI, AtomSum, _leading_sign, scale, sum_many
+from .atoms import TWO_PI, AtomSum, _leading_sign, scale
 
 HALF_PI = math.pi / 2
 
@@ -76,37 +79,63 @@ def precondition(s: AtomSum) -> AtomSum:
     return s._rephased(s.amplitudes / (1.0 + wsq), 0.0)
 
 
-def apply_elliptic(p, u: AtomSum) -> AtomSum:
-    """Apply L u = -sum_i d_i (sum_j A_ij d_j u) + c u, in divergence form.
+def _stencil_terms(table, u: AtomSum):
+    """The unmerged terms of -sum_ij d_i (A_ij d_j u).
+
+    A pair (a cos(w.x + beta) of A_ij, a_u cos(v.x + b)) gives
+    -d_i [a cos(w.x + beta) * a_u v_j cos(v.x + b + pi/2)], the two terms
+    (a a_u / 2) k'_i v_j cos(k'.x + b +- beta) at k' = v +- w; pairs with
+    v_j = 0 give nothing and are skipped.  A zero-frequency coefficient
+    atom (phase 0 once canonical) sends both images to v, so the constant
+    parts A0 of all entries give one term per solution atom,
+    a_u (v . A0 v) cos(v.x + b).
+    """
+    v = u.frequencies
+    m, e = np.nonzero(v[:, table.j])
+    half = 0.5 * table.amplitudes[e] * u.amplitudes[m] * v[m, table.j[e]]
+    plus, minus = v[m] + table.frequencies[e], v[m] - table.frequencies[e]
+    pair, i = np.arange(len(m)), table.i[e]
+    amps = np.concatenate([u.amplitudes * np.einsum("nd,de,ne->n", v, table.constant, v),
+                           half * plus[pair, i], half * minus[pair, i]])
+    freqs = np.concatenate([v, plus, minus])
+    phases = np.concatenate([u.phases, u.phases[m] + table.phases[e], u.phases[m] - table.phases[e]])
+    return amps, freqs, phases
+
+
+def apply_elliptic(p, u: AtomSum, rhs: AtomSum | None = None) -> AtomSum:
+    """L u - rhs, for L u = -sum_i d_i (sum_j A_ij d_j u) + c u.
 
     `p` is an EllipticProblem, whose constructor has already checked that
-    A is a symmetric d x d matrix of atom sums in the dimension of c and f.
-    Returns L u itself (no right-hand side subtracted).  Each axis i takes
-    one product A_ij * d_j u per nonzero entry, one merge of those products
-    into the flux, and one derivative of the flux; no coefficient is ever
-    differentiated.
+    A is a symmetric d x d matrix of atom sums in the dimension of c and f,
+    and has laid out A's atoms once (`p.a_atoms`).  The A part is a stencil
+    over (coefficient atom, solution atom) pairs (`_stencil_terms`); c u is
+    one `product`.  The terms of c u, of the stencil and of -rhs go through
+    one canonicalization, so with a constant c a nonzero u costs one merge
+    and an oscillating c two.  u = 0 gives exactly -rhs (or zero), with no
+    merge.
 
     The tracked-norm ledger stays sound.  A coefficient atom a cos(w.x + beta)
     of A_ij and a solution atom a_u cos(v.x + b) put mass |a a_u / 2| |k'_i v_j|
-    at each output frequency k' = v +- w (the flux merge before d_i can only
-    shrink it).  The product-rule form d_i A_ij d_j u + A_ij d_ij u puts
-    |a a_u / 2| (|w_i| + |v_i|) |v_j| there, no less, since
-    |k'_i| <= |w_i| + |v_i|.  Merging only shrinks mass, and the
-    preconditioner scales both forms by the same 1 / (1 + |k'|^2), so
-    `solver.cosine_ledger_bound`, proved for the product-rule form, bounds
-    every step.
+    at each output frequency k' = v +- w, as in the divergence form; the
+    constant parts put |a_u| |v . A0 v| <= sum_ij |A0_ij a_u| |v_i v_j| at v,
+    no more than their pairs.  The product-rule form
+    d_i A_ij d_j u + A_ij d_ij u puts |a a_u / 2| (|w_i| + |v_i|) |v_j| at k',
+    no less, since |k'_i| <= |w_i| + |v_i|.  The -rhs terms carry |f|'s mass
+    as before.  Merging only shrinks mass, and the preconditioner scales both
+    forms by the same 1 / (1 + |k'|^2), so `solver.cosine_ledger_bound`,
+    proved for the product-rule form, bounds every step.
     """
     d = p.dimension
-    if u.dimension != d:
+    if u.dimension != d or (rhs is not None and rhs.dimension != d):
         raise ValueError("dimension mismatch")
-    terms = [product(p.c, u)]
-    if not u.is_zero:
-        du = [partial_derivative(u, j) for j in range(d)]
-        for i, row in enumerate(p.a_entries):
-            flux = [product(a_ij, du[j]) for j, a_ij in enumerate(row) if not a_ij.is_zero]
-            if flux:
-                terms.append(scale(partial_derivative(sum_many(flux), i), -1.0))
-    return sum_many(terms)
+    cu = product(p.c, u)
+    if u.is_zero:
+        return cu if rhs is None else scale(rhs, -1.0)
+    terms = [_stencil_terms(p.a_atoms, u), (cu.amplitudes, cu.frequencies, cu.phases)]
+    if rhs is not None:
+        terms.append((-rhs.amplitudes, rhs.frequencies, rhs.phases))
+    amps, freqs, phases = (np.concatenate(parts) for parts in zip(*terms))
+    return AtomSum(d, True, amps, freqs, phases)
 
 
 def from_fourier_data(coefficients, dimension: int) -> AtomSum:

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .atoms import (AtomSum, InputError, _distinct_rows, _h1_terms, _leading_sign, add,
-                    evaluate, l2_norm_torus, scale)
+from .atoms import (AtomSum, InputError, _distinct_rows, _h1_terms, _leading_sign, evaluate,
+                    l2_norm_torus)
 from .calculus import apply_elliptic, precondition
 
 TWO_PI = 2.0 * math.pi
@@ -206,7 +206,7 @@ def galerkin_solve(p, truncation):
 
 def _truncated_l2_residual(p, u, truncation):
     """L2 norm of the part of L u - f inside the box |k|_inf <= truncation."""
-    diff = add(apply_elliptic(p, u), scale(p.f, -1.0))
+    diff = apply_elliptic(p, u, p.f)
     inside = np.max(np.abs(diff.frequencies), axis=1, initial=0) <= truncation
     return l2_norm_torus(AtomSum._trusted(p.dimension, diff.amplitudes[inside],
                                           diff.frequencies[inside], diff.phases[inside]))

@@ -9,6 +9,9 @@ the matrix entries.
 """
 
 import math
+from typing import NamedTuple
+
+import numpy as np
 
 from .atoms import AtomSum, InputError, h_minus1_norm_torus
 
@@ -64,8 +67,23 @@ def diagonal_coefficients(entries):
     )
 
 
+class CoefficientAtoms(NamedTuple):
+    """A's atoms laid out for the stencil of `calculus.apply_elliptic`:
+    `constant` is the d x d matrix A0 of the entries' zero-frequency atoms,
+    and the other fields list every other atom of every entry, by amplitude,
+    frequency and phase, with the row i and column j of its entry."""
+
+    constant: np.ndarray
+    amplitudes: np.ndarray
+    frequencies: np.ndarray
+    phases: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+
+
 class EllipticProblem:
-    """Validated problem data plus the derived ledger constants."""
+    """Validated problem data plus the derived ledger constants, and A's
+    atoms laid out once for `calculus.apply_elliptic` (`a_atoms`)."""
 
     def __init__(self, a_entries, c, f, lam_min, lam_max):
         if not isinstance(c, AtomSum) or not isinstance(f, AtomSum):
@@ -94,6 +112,13 @@ class EllipticProblem:
         self.dimension = d
 
         flat = [rows[i][j] for i in range(d) for j in range(d)]
+        entry = np.repeat(np.arange(d * d), [s.atom_count for s in flat])
+        freqs = np.concatenate([s.frequencies for s in flat])
+        amps = np.concatenate([s.amplitudes for s in flat])
+        osc = freqs.any(axis=1)
+        self.a_atoms = CoefficientAtoms(
+            np.bincount(entry[~osc], amps[~osc], d * d).reshape(d, d), amps[osc], freqs[osc],
+            np.concatenate([s.phases for s in flat])[osc], entry[osc] // d, entry[osc] % d)
         self.ell_A = max(s.tracked_norm for s in flat)
         self.R_A = max(s.support_radius for s in flat)
         self.ell_c = c.tracked_norm

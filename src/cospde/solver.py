@@ -178,7 +178,7 @@ def _budget_threshold(s, budget):
 def _preconditioned_residual(p, u):
     """(I - Lap)^-1 (L u - f): the step direction, whose H1 norm is the
     residual estimate of u's ledger row."""
-    return precondition(add(apply_elliptic(p, u), scale(p.f, -1.0)))
+    return precondition(apply_elliptic(p, u, p.f))
 
 
 def step(p, state, alpha, prune_mass_budget=None):

@@ -7,7 +7,10 @@ parameters fails here and not only in a traced benchmark run.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import cospde
 
@@ -43,7 +46,10 @@ def _spans_module():
     return spans
 
 
-def test_traced_d1_solve_records_every_layer():
+@pytest.fixture(scope="module")
+def traced_d1_solve():
+    """perfbench's span module, its tracer after one traced d1 solve, and the
+    solve's result."""
     spans = _spans_module()
     tracer = spans.Tracer()
     tracer.install()
@@ -53,7 +59,11 @@ def test_traced_d1_solve_records_every_layer():
             result = cospde.solve(problem, 1e-3)
     finally:
         tracer.uninstall()
+    return spans, tracer, result
 
+
+def test_traced_d1_solve_records_every_layer(traced_d1_solve):
+    spans, tracer, result = traced_d1_solve
     assert result.final_h1_error <= 1e-3
     recorded = {tracer.span_name(i) for i in range(len(tracer))}
     assert set(SOLVE_SPANS) <= recorded
@@ -61,6 +71,15 @@ def test_traced_d1_solve_records_every_layer():
     problems, solves = spans.completeness_problems(tracer, SOLVE_SPANS)
     assert problems == []
     assert solves == 1
+
+
+def test_each_operator_application_records_one_product_span(traced_d1_solve):
+    # the benchmark requires a calculus.product span in every solve; L u
+    # takes c u through `product`, once per application
+    _, tracer, _ = traced_d1_solve
+    names = Counter(tracer.span_name(i) for i in range(len(tracer)))
+    assert names["calculus.apply_elliptic"] > 0
+    assert names["calculus.product"] == names["calculus.apply_elliptic"]
 
 
 def test_traced_rate_study_records_every_layer():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cospde.atoms as atoms
 import cospde.calculus as calculus
 from cospde.atoms import AtomSum, add, evaluate, h1_norm_torus, prune, scale, sum_many
 from cospde.calculus import (
@@ -398,46 +399,82 @@ def random_operator(rng, d, shape, oscillating_c):
 
 
 class TestProductChainReference:
-    """apply_elliptic applies L in divergence form; it must agree with the
-    product-rule form built from partial_derivative alone."""
+    """apply_elliptic applies L through a stencil over (coefficient atom,
+    solution atom) pairs; it must agree with the product-rule form built from
+    partial_derivative alone."""
+
+    @staticmethod
+    def assert_matches(p, u, f):
+        got = apply_elliptic(p, u, f)
+        want = sum_many([product_chain_elliptic(p, u), scale(f, -1.0)])
+        gap = h1_norm_torus(sum_many([got, scale(want, -1.0)]))
+        assert gap <= 1e-13 * h1_norm_torus(want)
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_matches_the_product_chain_form(self, d):
         rng = np.random.default_rng(300 + d)
         u = wrapping_sum(rng, d, 8)
-        cases = (("constant", False), ("constant", True), ("diagonal", False), ("full", True))
+        f = wrapping_sum(rng, d, 4)
+        constant = AtomSum.from_atoms([(0.7, (0.0,) * d, 0.0)])
+        cases = (("constant", False), ("constant", True), ("diagonal", False), ("full", True),
+                 ("banded", False))
         for shape, oscillating_c in cases:
             p = random_operator(rng, d, shape, oscillating_c)
-            got, want = apply_elliptic(p, u), product_chain_elliptic(p, u)
-            gap = h1_norm_torus(sum_many([got, scale(want, -1.0)]))
-            assert gap <= 1e-13 * h1_norm_torus(want), (shape, oscillating_c)
+            self.assert_matches(p, u, f)
+            self.assert_matches(p, add(u, constant), f)  # a constant atom of u: v = 0
 
-    def test_one_product_per_nonzero_entry_and_no_coefficient_derivative(self, monkeypatch):
+    def test_zero_input_gives_exactly_minus_rhs(self):
+        rng = np.random.default_rng(321)
+        p = random_operator(rng, 3, "full", oscillating_c=True)
+        f = wrapping_sum(rng, 3, 5)
+        zero = AtomSum.zero(3)
+        assert bitwise_equal(apply_elliptic(p, zero, f), scale(f, -1.0))
+        assert apply_elliptic(p, zero).is_zero
+
+    def test_entries_sharing_a_frequency_at_different_phases(self):
+        # A_11, A_12 and A_22 all oscillate at (1, 1), at three phases
+        def entry(constant, amplitude, phase):
+            terms = [(amplitude, (1.0, 1.0), phase)]
+            return AtomSum.from_atoms(terms + ([(constant, (0.0, 0.0), 0.0)] if constant else []))
+
+        a_mat = ((entry(2.0, 0.3, 0.4), entry(0.0, 0.2, 1.9)),
+                 (entry(0.0, 0.2, 1.9), entry(2.0, 0.25, 5.1)))
+        p = operator(a_mat, AtomSum.from_atoms([(1.0, (0.0, 0.0), 0.0)]))
+        rng = np.random.default_rng(322)
+        self.assert_matches(p, wrapping_sum(rng, 2, 8), wrapping_sum(rng, 2, 3))
+
+    @pytest.mark.parametrize("oscillating_c", [False, True])
+    def test_one_product_with_c_no_derivative_and_one_merge_per_product(self, monkeypatch,
+                                                                         oscillating_c):
         rng = np.random.default_rng(320)
         d = 4
-        p = random_operator(rng, d, "banded", oscillating_c=True)
+        p = random_operator(rng, d, "banded", oscillating_c)
         u = wrapping_sum(rng, d, 8)
-        want = apply_elliptic(p, u)
-        multiplied, differentiated = [], []
+        f = wrapping_sum(rng, d, 3)
+        want = apply_elliptic(p, u, f)
+        multiplied, differentiated, merges = [], [], []
         real_product, real_derivative = calculus.product, calculus.partial_derivative
+        real_canonicalize = atoms._canonicalize_arrays
 
         def counted_product(s1, s2):
-            multiplied.append(s1)
+            multiplied.append((s1, s2))
             return real_product(s1, s2)
 
         def counted_derivative(s, axis):
             differentiated.append(s)
             return real_derivative(s, axis)
 
+        def counted_canonicalize(*args):
+            merges.append(args)
+            return real_canonicalize(*args)
+
         monkeypatch.setattr(calculus, "product", counted_product)
         monkeypatch.setattr(calculus, "partial_derivative", counted_derivative)
-        assert bitwise_equal(apply_elliptic(p, u), want)
-        coefficients = [p.c] + [a for row in p.a_entries for a in row if not a.is_zero]
-        assert len(coefficients) == 1 + d + 2 * (d - 1)
-        assert len(multiplied) == len(coefficients)
-        assert all(x is y for x, y in zip(multiplied, coefficients))
-        assert len(differentiated) == 2 * d  # d_j u, then each axis's flux
-        assert not any(s is a for s in differentiated for a in coefficients)
+        monkeypatch.setattr(atoms, "_canonicalize_arrays", counted_canonicalize)
+        assert bitwise_equal(apply_elliptic(p, u, f), want)
+        assert len(multiplied) == 1 and multiplied[0][0] is p.c and multiplied[0][1] is u
+        assert differentiated == []
+        assert len(merges) == (2 if oscillating_c else 1)
 
 
 class TestFromFourierData:
