@@ -56,6 +56,7 @@ from .problemfile import (
 )
 from .sampler import (
     RateStudyResult,
+    expected_rms,
     h1_error_exact,
     rate_study,
     rms_error_bound,
@@ -104,6 +105,7 @@ __all__ = [
     "diagonal_cosine_family",
     "ellipticity_probe",
     "evaluate",
+    "expected_rms",
     "fft_precondition_check",
     "from_fourier_data",
     "from_text",

@@ -13,9 +13,10 @@ Subcommands:
 All numeric output is written with repr so reruns are byte identical;
 the only exception is the wall-time column of scaling.csv.  Exit codes:
 0 success, 1 failure, 2 problem-file or usage error, 3 the certified
-coefficient range does not fit the spectral bounds, 4 ledger violation.
-Any failure after output begins leaves a FAILED marker file in the output
-directory.
+coefficient range does not fit the spectral bounds, 4 ledger violation, or
+a solve whose Galerkin reference measures a final H1 error above epsilon
+(or not finite; its outputs are written first).  Any failure after output
+begins leaves a FAILED marker file in the output directory.
 This module checks flag syntax only: the library function that uses a value
 checks its range and raises InputError (ParseError and SizeLimitError are
 InputErrors too), and every InputError exits 2.
@@ -146,6 +147,12 @@ def cmd_solve(args, out):
         f"probe_c_range ({c_min!r}, {c_max!r})",
     ]
     _write_lines(out / "summary.txt", summary)
+    error = result.final_h1_error
+    if error is not None and not error <= result.epsilon:  # also nan
+        message = f"the oracle's H1 error {error!r} exceeds epsilon {result.epsilon!r}"
+        _write_lines(out / "FAILED", [f"accuracy failure: {message}"])
+        print(f"error: {message}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -303,8 +303,10 @@ def ellipticity_probe(p):
     of A_ij, which bounds |A_ij(x)|; so the eigenvalues lie in
     [min_i(k_ii - o_ii - sum_j m_ij), max_i(k_ii + o_ii + sum_j m_ij)].
     The bounds are computed and compared in exact rational arithmetic from
-    the atom amplitudes, in O(atoms), and are returned rounded to the
-    nearest float as (a_min, a_max, c_min, c_max).
+    the atom amplitudes, in O(atoms), and are returned rounded outward as
+    (a_min, a_max, c_min, c_max): each lower bound to the largest float at
+    or below it, each upper bound to the smallest float at or above it, so
+    a returned range passed back as the user's bounds is accepted.
 
     Raises ProbeFailureError when the ranges do not fit inside the user's
     [lam_min, lam_max]: either the coefficients violate the bound or the
@@ -322,16 +324,28 @@ def ellipticity_probe(p):
     if lower <= 0:
         raise ProbeFailureError(
             f"non-elliptic coefficients or a loose certificate: the certified "
-            f"lower bound {float(lower)!r} is not positive"
+            f"lower bound {_float_down(lower)!r} is not positive"
         )
     if Fraction(p.lam_min) > lower:
         raise ProbeFailureError(
-            f"lam_min={p.lam_min!r} exceeds the certified lower bound {float(lower)!r}: "
+            f"lam_min={p.lam_min!r} exceeds the certified lower bound {_float_down(lower)!r}: "
             "either the coefficients violate it or the certificate is too loose"
         )
     if Fraction(p.lam_max) < upper:
         raise ProbeFailureError(
-            f"lam_max={p.lam_max!r} below the certified upper bound {float(upper)!r}: "
+            f"lam_max={p.lam_max!r} below the certified upper bound {_float_up(upper)!r}: "
             "either the coefficients violate it or the certificate is too loose"
         )
-    return float(a_min), float(a_max), float(c_min), float(c_max)
+    return _float_down(a_min), _float_up(a_max), _float_down(c_min), _float_up(c_max)
+
+
+def _float_down(x):
+    """The largest float at or below the fraction x."""
+    f = float(x)
+    return math.nextafter(f, -math.inf) if Fraction(f) > x else f
+
+
+def _float_up(x):
+    """The smallest float at or above the fraction x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f

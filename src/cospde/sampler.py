@@ -6,8 +6,10 @@ probability |a_i| / ell (Maurey's empirical method), so each neuron carries
 outer weight +-ell and the network is an unbiased estimator of the target
 at every point.  The network is fully described by how many times each
 atom was drawn, and is returned as the atom sum of the drawn atoms.  On the
-torus the H1 error of a network is computed exactly through the atom
-algebra, which makes the k^{-1/2} rate study free of quadrature noise.
+torus the H1 error of a network against its target is an exact finite sum
+over the target's frequencies, computed without merging atoms, which makes
+the k^{-1/2} rate study free of quadrature noise.  `expected_rms` gives the
+exact root-mean-square error of a width-k network.
 """
 
 import math
@@ -17,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .atoms import AtomSum, InputError, add, from_text, h1_norm_torus, scale, to_text
+from .atoms import AtomSum, InputError, _distinct_rows, _h1_terms, from_text, to_text
+from .oracle import h1_distance
 
 # fewest trials per width for which a rate study reports an RMS error
 MIN_TRIALS = 30
@@ -52,8 +55,45 @@ def sample_network(g, k, seed):
 
 
 def h1_error_exact(net, g):
-    """Exact H1 distance between the network and its target (no quadrature)."""
-    return h1_norm_torus(add(net, scale(g, -1.0)))
+    """Exact H1 distance between the network and its target (no quadrature).
+
+    A network from `sample_network` holds some of canonical g's atoms, each
+    at g's frequency and phase, so the error is
+    sqrt(sum_i mu_i (1 + |w_i|^2) (c_i - a_i)^2), where c_i is the network's
+    amplitude at w_i (0 where atom i was not drawn).  This is bit for bit
+    the norm of the merged sum net - g: the merge puts exactly two terms, at
+    one phase, on each drawn frequency, and adds them in an order that does
+    not change a two-term float sum; it keeps an undrawn atom's -a_i as it
+    is; an exact zero adds nothing to fsum; and fsum is correctly rounded
+    in any order.  Any other network goes to `oracle.h1_distance`.
+    """
+    n = g.atom_count
+    if net.dimension == g.dimension:
+        distinct, index = _distinct_rows(np.concatenate([g.frequencies, net.frequencies]))
+        # canonical g is sorted by frequency row, as the distinct rows are, so
+        # when g holds every row, index[n:] places the network's atoms in g
+        at = index[n:]
+        if len(distinct) == n and np.array_equal(g.phases[at], net.phases):
+            diff = np.zeros(n)
+            diff[at] = net.amplitudes
+            diff -= g.amplitudes
+            return math.sqrt(math.fsum(_h1_terms(g.frequencies, diff**2)))
+    return h1_distance(net, g)
+
+
+def expected_rms(g, k):
+    """Exact root-mean-square H1 error of a width-k network drawn from g.
+
+    A neuron is ell sign(a_i) times atom i with probability |a_i| / ell, so
+    E |neuron|^2 = ell sum_i |a_i| s_i^2 with s_i^2 = mu_i (1 + |w_i|^2), and
+    the mean of k independent neurons has E |net - g|^2 =
+    (ell sum_i |a_i| s_i^2 - |g|^2) / k (Maurey's lemma, with equality).
+    Each term is taken as |a_i| (ell - |a_i|) s_i^2, which is never negative.
+    """
+    if g.is_zero:
+        return 0.0
+    mass = np.abs(g.amplitudes)
+    return math.sqrt(math.fsum(_h1_terms(g.frequencies, mass * (g.tracked_norm - mass))) / k)
 
 
 def rms_error_bound(g, k):

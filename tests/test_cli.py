@@ -255,6 +255,23 @@ class TestFailures:
         assert cli.main(["solve", str(tight), "--out", str(out)]) == 3
         assert "certified lower bound 0.5" in (out / "FAILED").read_text()
 
+    def test_printed_probe_bound_is_accepted(self, tmp_path):
+        # c = 3 + 0.3 cos x reaches exactly 3 - float(0.3), which lies below
+        # float(2.7): the refusal names the bound rounded down, and that
+        # bound, passed back, is accepted
+        text = ("dim 1\nlambda_min {}\nlambda_max 10\nepsilon 1e-2\nA 1 1\n10 0 0\nend\n"
+                "c\n3 0 0\n0.3 1 0\nend\nf\n1 1 0\nend\n")
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text.format("2.7"))
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(problem), "--out", str(out)]) == 3
+        bound = math.nextafter(2.7, 0.0)
+        assert f"certified lower bound {bound!r}:" in (out / "FAILED").read_text()
+        problem.write_text(text.format(repr(bound)))
+        assert cli.main(["solve", str(problem), "--out", str(out)]) == 0
+        assert not (out / "FAILED").exists()
+        assert f"probe_c_range ({bound!r}, " in (out / "summary.txt").read_text()
+
     @pytest.mark.parametrize("bounds", ["lambda_min 0\nlambda_max 3",
                                         "lambda_min 3\nlambda_max 1",
                                         "lambda_min nan\nlambda_max 3"])
@@ -302,6 +319,19 @@ class TestFailures:
         out = tmp_path / "out"
         assert cli.main(["solve", D1, "--out", str(out)]) == 4
         assert "ledger violation" in (out / "FAILED").read_text()
+
+    def test_oracle_error_above_epsilon_exit_4(self, tmp_path):
+        # f = 1e20 cos x: the planned steps run, and the reference shows an
+        # H1 error far above epsilon
+        problem = tmp_path / "problem.txt"
+        problem.write_text(HUGE_F.format("1e20"))
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(problem), "--out", str(out)]) == 4
+        summary = (out / "summary.txt").read_text()
+        error = float(summary.split("final_h1_error ")[1].split()[0])
+        assert error > 1e3 and (out / "ledger.csv").exists()
+        assert (out / "FAILED").read_text() == (
+            f"accuracy failure: the oracle's H1 error {error!r} exceeds epsilon 0.001\n")
 
     def test_inflating_merge_exit_4(self, tmp_path, monkeypatch):
         # the merge turns corrupt after two steps; the per-step mass check fires

@@ -1,6 +1,7 @@
 """Reference-solver module: Galerkin, FFT multiplier, kernel quadrature, probe."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,3 +263,24 @@ class TestEllipticityProbe:
         two, one, half = (constant_sum(2, v) for v in (2.0, 1.0, 0.5))
         p = EllipticProblem(((two, half), (half, one)), one, one, 0.5, 2.5)
         assert ellipticity_probe(p) == (0.5, 2.5, 1.0, 1.0)
+
+    def test_bounds_round_outward(self):
+        # c = 3 + 0.3 cos x reaches 3 - float(0.3), just above float(2.7) - ulp
+        # and below float(2.7); the returned range must lie outside the exact one
+        a = ((constant_sum(1, 10.0),),)
+        c = AtomSum.from_atoms([(3.0, (0.0,), 0.0), (0.3, (1.0,), 0.0)])
+        f = AtomSum.from_atoms([(1.0, (1.0,), 0.0)])
+        _, _, c_min, c_max = ellipticity_probe(EllipticProblem(a, c, f, 1.0, 20.0))
+        exact_min, exact_max = 3 - Fraction(0.3), 3 + Fraction(0.3)
+        assert Fraction(c_min) <= exact_min < Fraction(math.nextafter(c_min, math.inf))
+        assert Fraction(math.nextafter(c_max, -math.inf)) < exact_max <= Fraction(c_max)
+        assert (c_min, c_max) == (math.nextafter(2.7, 0.0), math.nextafter(3.3, 4.0))
+        # each returned bound, passed back as the user's, is accepted; A = 10
+        # leaves c_min the lowest bound, and A = 1 leaves c_max the highest
+        low_a = ((constant_sum(1, 1.0),),)
+        assert ellipticity_probe(EllipticProblem(a, c, f, c_min, 10.0))[2] == c_min
+        assert ellipticity_probe(EllipticProblem(low_a, c, f, 1.0, c_max))[3] == c_max
+        with pytest.raises(ProbeFailureError, match=rf"lam_min=2\.7 .* bound {c_min!r}:"):
+            ellipticity_probe(EllipticProblem(a, c, f, 2.7, 10.0))
+        with pytest.raises(ProbeFailureError, match=rf"lam_max=3\.3 .* bound {c_max!r}:"):
+            ellipticity_probe(EllipticProblem(low_a, c, f, 1.0, 3.3))

@@ -10,11 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cospde.atoms as atoms
 import cospde.sampler as sampler
-from cospde.atoms import AtomSum, InputError, add, evaluate
+from cospde.atoms import AtomSum, InputError, add, evaluate, h1_norm_torus, scale
+from cospde.oracle import h1_distance
 from cospde.sampler import (
     MAX_ROWS,
     MAX_WIDTH,
+    expected_rms,
     h1_error_exact,
     ols_fit,
     rate_study,
@@ -135,6 +138,57 @@ class TestConversion:
         assert h1_error_exact(net, g) == 0.0
 
 
+def merged_error(net, g):
+    """The H1 error through one merge of net - g: the formula the closed form
+    in h1_error_exact replaces, kept here as its reference."""
+    return h1_norm_torus(add(net, scale(g, -1.0)))
+
+
+class TestExactError:
+    """h1_error_exact without a merge, against the merged difference."""
+
+    def test_sampled_networks_match_the_merge_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        cases = 0
+        upper_phase = negative = 0
+        for _ in range(200):
+            d = int(rng.integers(1, 5))
+            constant = AtomSum(d, True, [rng.uniform(-2.0, 2.0)], np.zeros((1, d)), [0.0])
+            g = scale(add(random_sum(rng, d, int(rng.integers(1, 12)), max_freq=2), constant),
+                      float(10.0 ** rng.uniform(-6.0, 6.0)))
+            upper_phase += (g.phases >= math.pi).any()
+            negative += (g.amplitudes < 0.0).any()
+            for k in (1, 2, 7, 64, 1000):
+                net = sample_network(g, k, seed=int(rng.integers(2**31)))
+                assert h1_error_exact(net, g) == merged_error(net, g)
+                cases += 1
+        assert cases == 1000 and upper_phase > 100 and negative > 100
+
+    @pytest.mark.parametrize("extra", [
+        (0.4, (2.0, 1.0), 0.3),  # a frequency g does not hold
+        (0.4, (1.0, 0.0), 1.0),  # g's frequency at another phase
+        (0.4, (1.0, 0.0), 0.2 + math.pi),  # g's frequency at its phase + pi
+    ])
+    def test_other_networks_go_to_h1_distance(self, extra, monkeypatch):
+        g = AtomSum.from_atoms([(3.0, (1.0, 0.0), 0.2), (-1.0, (0.0, 1.0), 0.9)])
+        net = AtomSum.from_atoms([extra, (0.5, (0.0, 1.0), 0.9)])
+        calls = []
+        monkeypatch.setattr(sampler, "h1_distance", lambda u, v: calls.append(1) or h1_distance(u, v))
+        err = h1_error_exact(net, g)
+        assert calls == [1]
+        assert err == h1_distance(net, g)
+        assert err == pytest.approx(merged_error(net, g), rel=1e-12)
+
+    def test_rate_study_canonicalizes_per_width_not_per_trial(self, monkeypatch):
+        calls = []
+        canonicalize = atoms._canonicalize_arrays
+        monkeypatch.setattr(atoms, "_canonicalize_arrays",
+                            lambda *args: calls.append(1) or canonicalize(*args))
+        widths = [16, 64, 256]
+        rate_study(ten_atom_target(), widths, trials=30, seed=5)
+        assert len(calls) <= 2 * len(widths)
+
+
 class TestVarianceBound:
     def test_mean_squared_error_within_bound(self):
         g = ten_atom_target()
@@ -144,6 +198,26 @@ class TestVarianceBound:
               for t in range(trials)]
         mean_sq = math.fsum(sq) / trials
         assert mean_sq <= rms_error_bound(g, k) ** 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_expected_rms_is_the_enumerated_mean(self, k):
+        # every ordered draw of k neurons, weighted by its probability
+        g = AtomSum.from_atoms([(0.7, (0.0, 0.0), 0.0), (-1.3, (1.0, 0.0), 0.4),
+                                (0.5, (1.0, 2.0), 3.5), (2.1, (0.0, 1.0), 5.9),
+                                (-0.2, (3.0, -1.0), 1.0)])
+        assert g.atom_count == 5
+        ell = g.tracked_norm
+        atoms_of_g = g.atoms
+        mean_sq = []
+        for draw in itertools.product(range(5), repeat=k):
+            counts = {i: draw.count(i) for i in set(draw)}
+            net = AtomSum.from_atoms(
+                [(ell * math.copysign(n, atoms_of_g[i].amplitude) / k,
+                  atoms_of_g[i].frequency, atoms_of_g[i].phase) for i, n in counts.items()],
+                dimension=2)
+            weight = math.prod(abs(atoms_of_g[i].amplitude) / ell for i in draw)
+            mean_sq.append(weight * merged_error(net, g) ** 2)
+        assert expected_rms(g, k) == pytest.approx(math.sqrt(math.fsum(mean_sq)), rel=1e-12)
 
     def test_bound_formula(self):
         g = AtomSum.from_atoms([(2.0, (3.0, 4.0), 0.0)])
