@@ -90,8 +90,6 @@ def expected_rms(g, k):
     (ell sum_i |a_i| s_i^2 - |g|^2) / k (Maurey's lemma, with equality).
     Each term is taken as |a_i| (ell - |a_i|) s_i^2, which is never negative.
     """
-    if g.is_zero:
-        return 0.0
     mass = np.abs(g.amplitudes)
     return math.sqrt(math.fsum(_h1_terms(g.frequencies, mass * (g.tracked_norm - mass))) / k)
 

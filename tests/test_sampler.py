@@ -173,7 +173,12 @@ class TestExactError:
         g = AtomSum.from_atoms([(3.0, (1.0, 0.0), 0.2), (-1.0, (0.0, 1.0), 0.9)])
         net = AtomSum.from_atoms([extra, (0.5, (0.0, 1.0), 0.9)])
         calls = []
-        monkeypatch.setattr(sampler, "h1_distance", lambda u, v: calls.append(1) or h1_distance(u, v))
+
+        def counting_distance(u, v):
+            calls.append(1)
+            return h1_distance(u, v)
+
+        monkeypatch.setattr(sampler, "h1_distance", counting_distance)
         err = h1_error_exact(net, g)
         assert calls == [1]
         assert err == h1_distance(net, g)
@@ -182,8 +187,12 @@ class TestExactError:
     def test_rate_study_canonicalizes_per_width_not_per_trial(self, monkeypatch):
         calls = []
         canonicalize = atoms._canonicalize_arrays
-        monkeypatch.setattr(atoms, "_canonicalize_arrays",
-                            lambda *args: calls.append(1) or canonicalize(*args))
+
+        def counting_canonicalize(*args):
+            calls.append(1)
+            return canonicalize(*args)
+
+        monkeypatch.setattr(atoms, "_canonicalize_arrays", counting_canonicalize)
         widths = [16, 64, 256]
         rate_study(ten_atom_target(), widths, trials=30, seed=5)
         assert len(calls) <= 2 * len(widths)
